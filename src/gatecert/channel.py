@@ -59,7 +59,7 @@ class Channel:
                 f"Kraus rank must lie in [1, {1 << (2 * n)}] for {n} qubit(s), got {count}"
             )
         residual = _completeness_residual(kraus)
-        if residual > TOL.kraus_trace_preserving:
+        if not residual <= TOL.kraus_trace_preserving:
             raise ValueError(f"channel is not trace preserving: max residual {residual:.3e}")
         kraus.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)

@@ -41,7 +41,6 @@ __all__ = [
     "report_from_dict",
     "cmd_certify",
     "cmd_basis_check",
-    "cmd_sample",
     "main",
 ]
 
@@ -336,20 +335,14 @@ def cmd_basis_check(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_INVALID_INPUT
 
 
-def cmd_sample(config: RunConfig) -> int:
-    """Finite-shot certification; equivalent to certify with --mode sampled."""
-    return cmd_certify(config)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = run_config_from_args(args)
-        if args.command == "certify":
-            return cmd_certify(config)
         if args.command == "basis-check":
             return cmd_basis_check(config)
-        return cmd_sample(config)
+        # run_config_from_args has already put ``sample`` into sampled mode.
+        return cmd_certify(config)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

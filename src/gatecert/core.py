@@ -78,6 +78,15 @@ def _unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
 
 
+def _require_capacity(n_qubits: int, max_qubits: int = MAX_QUBITS) -> None:
+    """Raise CapacityError for more than ``max_qubits`` qubits, before anything is allocated."""
+    if n_qubits > max_qubits:
+        raise CapacityError(
+            f"{n_qubits} qubit(s) exceeds the supported maximum of {max_qubits}; "
+            f"the error basis would hold {1 << (2 * n_qubits)} dense operators"
+        )
+
+
 @dataclass(frozen=True)
 class Ket:
     """Pure state of ``n_qubits`` qubits, stored as 2**n_qubits amplitudes."""
@@ -131,11 +140,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix acting on ``n_qubits`` qubits, optionally checked for unitarity."""
+    """Square matrix acting on ``n_qubits`` qubits."""
 
     n_qubits: int
     elements: np.ndarray
-    unitary: bool = False
 
     def __post_init__(self):
         n = _check_qubit_count(self.n_qubits)
@@ -143,10 +151,6 @@ class Operator:
         d = 1 << n
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got shape {mat.shape}")
-        if self.unitary:
-            residual = _unitarity_residual(mat)
-            if residual > TOL.unitarity:
-                raise ValueError(f"matrix is not unitary: max residual {residual:.3e}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "elements", mat)
 
@@ -166,7 +170,7 @@ class GateSpec:
                 f"gate is declared on {n} qubit(s) but its unitary acts on {self.u00.n_qubits}"
             )
         residual = _unitarity_residual(self.u00.elements)
-        if residual > TOL.unitarity:
+        if not residual <= TOL.unitarity:
             raise ValueError(f"gate matrix is not unitary: max residual {residual:.3e}")
         object.__setattr__(self, "n_qubits", n)
 
@@ -180,12 +184,12 @@ class GateSpec:
         n = d.bit_length() - 1
         if d < 2 or (1 << n) != d:
             raise ValueError(f"gate dimension must be a power of two >= 2, got {d}")
-        return cls(n, Operator(n, mat, unitary=True), name=name)
+        return cls(n, Operator(n, mat), name=name)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "GateSpec":
         n = _check_qubit_count(n_qubits)
-        return cls(n, Operator(n, np.eye(1 << n), unitary=True), name="identity")
+        return cls(n, Operator(n, np.eye(1 << n)), name="identity")
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ class ErrorBasis:
     def operator(self, index: ErrorIndex) -> Operator:
         """The stacked operator addressed by a pair of masks."""
         n = self.gate.n_qubits
-        return Operator(n, self.operators[index.flat(n)], unitary=True)
+        return Operator(n, self.operators[index.flat(n)])
 
     def gram_residual(self) -> float:
         """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over all pairs."""
@@ -300,7 +304,7 @@ def single_qubit_error_factor(z_bit: int, x_bit: int) -> Operator:
         raise ValueError(f"factor bits must be 0 or 1, got z={z_bit!r}, x={x_bit!r}")
     left = PAULI_Z if z_bit else PAULI_I
     right = PAULI_X if x_bit else PAULI_I
-    return Operator(1, left @ right, unitary=True)
+    return Operator(1, left @ right)
 
 
 def _error_matrix(phase_mask: int, amp_mask: int, n_qubits: int) -> np.ndarray:
@@ -317,7 +321,7 @@ def error_operator(index: ErrorIndex, n_qubits: int) -> Operator:
     """Tensor product of per-qubit error factors selected by the two masks."""
     n = _check_qubit_count(n_qubits)
     index.validate_for(n)
-    return Operator(n, _error_matrix(index.phase_mask, index.amp_mask, n), unitary=True)
+    return Operator(n, _error_matrix(index.phase_mask, index.amp_mask, n))
 
 
 def build_error_basis(gate: GateSpec, max_qubits: int = MAX_QUBITS) -> ErrorBasis:
@@ -327,11 +331,7 @@ def build_error_basis(gate: GateSpec, max_qubits: int = MAX_QUBITS) -> ErrorBasi
     since the stack holds 4**n dense matrices of size 2**n.
     """
     n = gate.n_qubits
-    if n > max_qubits:
-        raise CapacityError(
-            f"{n} qubit(s) exceeds the supported maximum of {max_qubits}; "
-            f"the basis would hold {1 << (2 * n)} dense operators"
-        )
+    _require_capacity(n, max_qubits)
     d = 1 << n
     u = gate.u00.elements
     stack = np.empty((1 << (2 * n), d, d), dtype=np.complex128)

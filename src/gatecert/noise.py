@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import CapacityError, GateSpec, _error_matrix
-from .tolerances import MAX_QUBITS
+from .core import GateSpec, _error_matrix, _require_capacity
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -109,11 +108,7 @@ def make_noise(spec: NoiseSpec, n_qubits: int) -> Channel:
     """Instantiate a noise family on ``n_qubits`` qubits."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-    if n_qubits > MAX_QUBITS:
-        raise CapacityError(
-            f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
-            f"the largest family would hold {1 << (2 * n_qubits)} dense operators"
-        )
+    _require_capacity(n_qubits)
     if spec.kind == "depolarizing_global":
         return _depolarizing_global(spec.strength, n_qubits)
     if spec.kind in ("dephasing_per_qubit", "phaseflip_per_qubit"):

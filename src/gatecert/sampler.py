@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, kraus_to_chi, process_fidelity
-from .certify import (
-    BASES,
-    FidelityReport,
-    capability_bound,
-    classical_fidelity,
-    fidelity_bounds,
-    ghz_summary,
-    violation_verdict,
-)
+from .certify import BASES, FidelityReport, _assemble_report, classical_fidelity
 from .core import GateSpec
 
 __all__ = ["ShotPlan", "FidelityEstimate", "sample_transfer", "sampled_report", "basis_subseed"]
@@ -88,7 +80,7 @@ def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> Fidelit
     shots = plan.shots_per_input
     counts: dict[int, int] = {}
     for n, prob in enumerate(table.probabilities):
-        counts[n] = int(rng.binomial(shots, float(np.clip(prob, 0.0, 1.0))))
+        counts[n] = int(rng.binomial(shots, float(prob)))
     total = shots * len(counts)
     pooled = sum(counts.values()) / total
     std_error = float(np.sqrt(pooled * (1.0 - pooled) / total))
@@ -107,20 +99,12 @@ def sampled_report(channel: Channel, gate: GateSpec, shots_per_input: int, seed:
     f_process = process_fidelity(kraus_to_chi(channel, gate))
     est_z = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "z"), "z"))
     est_x = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "x"), "x"))
-    lower, upper = fidelity_bounds(est_z.mean, est_x.mean)
-    cap_bound, cap_ok = capability_bound(est_z.mean, est_x.mean)
-    expectation, floor = ghz_summary(channel, gate, f_process)
-    return FidelityReport(
-        fz=est_z.mean,
-        fx=est_x.mean,
-        f_process_exact=f_process,
-        lower_bound=lower,
-        upper_bound=upper,
-        capability_bound=cap_bound,
-        capability_certified=cap_ok,
-        violation_certified=violation_verdict(est_z.mean, est_x.mean),
-        ghz_expectation=expectation,
-        ghz_floor=floor,
+    return _assemble_report(
+        channel,
+        gate,
+        f_process,
+        est_z.mean,
+        est_x.mean,
         provenance="sampled",
         fz_std_error=est_z.std_error,
         fx_std_error=est_x.std_error,

@@ -54,6 +54,32 @@ def apply_via_chi(chi, basis_ops, rho):
     return np.einsum("ab,aij,jk,blk->il", chi, basis_ops, rho, basis_ops.conj(), optimize=True)
 
 
+def product_inputs(n_qubits, basis):
+    """Matrix whose column n is product input n: |n> for "z", H^(x n)|n> for "x"."""
+    if basis == "z":
+        return np.eye(2**n_qubits, dtype=complex)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    frame = np.ones((1, 1))
+    for _ in range(n_qubits):
+        frame = np.kron(frame, hadamard)
+    return frame.astype(complex)
+
+
+def transfer_probabilities(kraus, unitary, inputs):
+    """Per-input success probabilities by full density-matrix propagation.
+
+    For each column psi of ``inputs``, rho_out = sum_m K_m rho K_m^dag with
+    rho = |psi><psi| is projected on the ideal image u|psi>.
+    """
+    probs = []
+    for psi in np.asarray(inputs).T:
+        rho = np.outer(psi, psi.conj())
+        rho_out = sum(k @ rho @ k.conj().T for k in kraus)
+        target = unitary @ psi
+        probs.append(float(np.vdot(target, rho_out @ target).real))
+    return np.array(probs)
+
+
 def ghz_family_overlap(amplitudes):
     """Largest squared overlap with any phase-adjusted |m> + |complement(m)> pair."""
     amp = np.asarray(amplitudes)

@@ -30,7 +30,7 @@ from gatecert.certify import (
     violation_verdict,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
-from _oracles import haar_unitary
+from _oracles import haar_unitary, product_inputs, transfer_probabilities
 
 CNOT = np.array(
     [
@@ -149,6 +149,22 @@ def test_phase_error_after_the_chain_gate_breaks_only_fx():
     _, fx = classical_fidelity(ch, gate, "x")
     assert fz == pytest.approx(1.0, abs=1e-10)
     assert fx == pytest.approx(1 - p, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_transfer_probabilities_match_density_matrix_propagation(n_qubits):
+    rng = np.random.default_rng(40 + n_qubits)
+    d = 2**n_qubits
+    for rank in (1, 3, min(8, d * d)):
+        u = haar_unitary(rng, d)
+        gate = GateSpec.from_matrix(u)
+        noise = random_cptp(n_qubits, rank, seed=int(rng.integers(1 << 30)))
+        ch = Channel(n_qubits, noise.kraus_ops @ u)
+        for basis in ("z", "x"):
+            table, fidelity = classical_fidelity(ch, gate, basis)
+            expected = transfer_probabilities(ch.kraus_ops, u, product_inputs(n_qubits, basis))
+            assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+            assert fidelity == pytest.approx(float(np.mean(expected)), abs=1e-12)
 
 
 def test_transfer_table_validation():
@@ -346,6 +362,11 @@ def test_certify_fails_fast_over_capacity():
     ch = Channel(7, np.eye(128, dtype=complex)[np.newaxis])
     with pytest.raises(CapacityError):
         certify(ch, gate)
+
+
+def test_ghz_chain_gate_checks_capacity_before_allocating():
+    with pytest.raises(CapacityError, match="maximum"):
+        ghz_chain_gate(9)
 
 
 def test_report_rejects_an_escaped_sandwich():

@@ -45,6 +45,11 @@ def test_channel_rejects_non_trace_preserving_sets():
         Channel(1, np.stack([0.5 * I2]))
 
 
+def test_channel_rejects_nan_kraus_operators():
+    with pytest.raises(ValueError, match="trace preserving"):
+        Channel(1, np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+
+
 def test_channel_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         Channel(2, I2[np.newaxis])  # 2x2 operators on a 2-qubit channel

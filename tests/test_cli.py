@@ -148,6 +148,18 @@ def test_certify_over_capacity_fails_fast(capsys):
     assert "maximum" in capsys.readouterr().err
 
 
+def test_nan_gate_matrix_is_rejected_as_non_unitary(tmp_path, capsys):
+    matrix = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix}}))
+    code, doc = run(tmp_path, "certify", "--config", str(path))
+    assert code == 1
+    assert doc is None
+    err = capsys.readouterr().err
+    assert "not unitary" in err
+    assert "basis" not in err
+
+
 def test_sample_command_round_trips_and_is_seeded(tmp_path):
     args = (
         "sample", "--gate", "ghz-chain", "--qubits", "3",

@@ -196,9 +196,14 @@ def test_density_matrix_validation():
 
 
 def test_operator_unitary_flag():
-    Operator(1, np.array([[1.0, 1.0], [0.0, 1.0]]))  # fine unchecked
+    non_unitary = Operator(1, np.array([[1.0, 1.0], [0.0, 1.0]]))  # fine unchecked
     with pytest.raises(ValueError):
-        Operator(1, np.array([[1.0, 1.0], [0.0, 1.0]]), unitary=True)
+        GateSpec(1, non_unitary)
+
+
+def test_gate_spec_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="unitary"):
+        GateSpec.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_gate_spec_validation():
