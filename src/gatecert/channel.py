@@ -2,11 +2,20 @@
 
 A channel E acts as E(rho) = sum_m K_m rho K_m^dag with
 sum_m K_m^dag K_m = I.  Expanding each Kraus operator in the orthogonal
-gate-relative error basis, K_m = sum_a c_{m,a} U_a with
+gate-relative error basis U_a = u00 Z**z X**x, K_m = sum_a c_{m,a} U_a with
 c_{m,a} = Tr{U_a^dag K_m} / 2**n, gives the process matrix
 chi_{a,b} = sum_m c_{m,a} c_{m,b}^*; then
 E(rho) = sum_{a,b} chi_{a,b} U_a rho U_b^dag.  The entry chi_{0,0} is the
 process fidelity of the channel with respect to the target gate.
+
+The coefficients never need the dense basis.  With M_m = u00^dag K_m and the
+flat index a = (z << n) + x,
+
+    c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) M_m[s, s ^ x],
+
+a Walsh-Hadamard transform over s of the gathered G_m[s, x] = M_m[s, s ^ x]
+(the tensorized Pauli decomposition of Hantzko, Binkowski and Gupta,
+arXiv:2310.13421).  All coefficients cost O(m 8**n) instead of O(m 16**n).
 """
 
 from __future__ import annotations
@@ -15,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConsistencyError, DensityMatrix, ErrorBasis, ErrorIndex, GateSpec, build_error_basis
+from .core import (
+    ConsistencyError,
+    DensityMatrix,
+    ErrorBasis,
+    ErrorIndex,
+    GateSpec,
+    _require_capacity,
+    _walsh_signs,
+)
 from .tolerances import TOL
 
 __all__ = [
@@ -70,6 +87,14 @@ class Channel:
         return self.kraus_ops.shape[0]
 
 
+def _check_error_distribution(diag: np.ndarray, trace: complex) -> None:
+    """Reject a process-matrix diagonal outside [0, 1] or a trace other than 1."""
+    if float(np.min(diag)) < -TOL.chi_diagonal or float(np.max(diag)) > 1.0 + TOL.chi_diagonal:
+        raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
+    if abs(trace - 1.0) > TOL.chi_trace:
+        raise ValueError(f"process matrix must have unit trace, got {trace!r}")
+
+
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix of a channel relative to a target gate.
@@ -94,11 +119,7 @@ class ChiMatrix:
         diag = np.diagonal(mat)
         if float(np.max(np.abs(diag.imag))) > TOL.chi_diagonal:
             raise ValueError("process-matrix diagonal has a non-real entry")
-        if float(np.min(diag.real)) < -TOL.chi_diagonal or float(np.max(diag.real)) > 1.0 + TOL.chi_diagonal:
-            raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TOL.chi_trace:
-            raise ValueError(f"process matrix must have unit trace, got {trace!r}")
+        _check_error_distribution(diag.real, complex(np.trace(mat)))
         smallest = float(np.min(np.linalg.eigvalsh(mat)))
         if smallest < TOL.chi_psd_floor:
             raise ValueError(
@@ -127,36 +148,57 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(channel.n_qubits, out)
 
 
-def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
-    """Decompose a channel over the gate-relative error basis.
+def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
+    """The m x 4**n coefficients c_{m,a} of every Kraus operator over the error basis.
 
-    Computes the expansion coefficients c_{m,a} = Tr{U_a^dag K_m} / 2**n and
-    assembles chi = C^T C^*.  Before returning, every Kraus operator is
-    reconstructed from its coefficients and compared against the original;
-    a mismatch raises ConsistencyError because it can only come from a bug
-    in the basis or the bookkeeping, not from user input.
-
-    Passing a prebuilt ``basis`` for the same gate skips rebuilding it, which
-    matters when decomposing many channels against one target.
+    Runs the Walsh-Hadamard transform of the module docstring.  The inverse
+    transform then rebuilds every gathered G_m from its coefficients; a
+    mismatch raises ConsistencyError because it can only come from a bug in
+    the transform or the bookkeeping, not from user input.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
             f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
         )
-    if basis is None:
-        basis = build_error_basis(gate)
-    elif basis.gate is not gate and not np.array_equal(basis.gate.u00.elements, gate.u00.elements):
-        raise ValueError("supplied basis was built for a different gate")
-    d = 1 << gate.n_qubits
-    coeffs = np.einsum("aij,mij->ma", basis.operators.conj(), channel.kraus_ops) / d
-    rebuilt = np.einsum("ma,aij->mij", coeffs, basis.operators)
-    residual = float(np.max(np.abs(rebuilt - channel.kraus_ops)))
+    n = gate.n_qubits
+    _require_capacity(n)
+    d = 1 << n
+    signs = _walsh_signs(n)
+    rows = np.arange(d)[:, np.newaxis]
+    gathered = (gate.u00.elements.conj().T @ channel.kraus_ops)[:, rows, rows ^ rows.T]
+    coeffs = signs @ gathered / d
+    residual = float(np.max(np.abs(signs @ coeffs - gathered)))
     if residual > TOL.reconstruction:
         raise ConsistencyError(
             f"Kraus reconstruction from basis coefficients failed: max residual {residual:.3e}"
         )
-    chi = coeffs.T @ coeffs.conj()
-    return ChiMatrix(gate, chi)
+    return coeffs.reshape(channel.rank, d * d)
+
+
+def _chi_diagonal(channel: Channel, gate: GateSpec) -> np.ndarray:
+    """The error probabilities chi_{a,a} = sum_m |c_{m,a}|^2, without the full process matrix."""
+    coeffs = _error_coefficients(channel, gate)
+    diag = np.einsum("ma,ma->a", coeffs.conj(), coeffs).real
+    _check_error_distribution(diag, complex(np.sum(diag)))
+    return diag
+
+
+def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
+    """Decompose a channel over the gate-relative error basis.
+
+    Computes the expansion coefficients c_{m,a} = Tr{U_a^dag K_m} / 2**n by
+    the Walsh-Hadamard transform
+    c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) (u00^dag K_m)[s, s ^ x] for
+    a = (z << n) + x, checks that the inverse transform reconstructs every
+    Kraus operator, and assembles chi = C^T C^*.  The dense basis is never
+    built; a supplied ``basis`` is only checked to belong to ``gate``.
+    """
+    if basis is not None and basis.gate is not gate and not np.array_equal(
+        basis.gate.u00.elements, gate.u00.elements
+    ):
+        raise ValueError("supplied basis was built for a different gate")
+    coeffs = _error_coefficients(channel, gate)
+    return ChiMatrix(gate, coeffs.T @ coeffs.conj())
 
 
 def process_fidelity(chi: ChiMatrix) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Channel, ChiMatrix, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
-from .core import CapacityError, ConsistencyError, GateSpec, build_error_basis
+from .core import ConsistencyError, GateSpec, _require_capacity, build_error_basis
 from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
 from .tolerances import TOL
@@ -113,17 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def matrix_to_pairs(matrix: np.ndarray, zero_floor: float = 0.0) -> list:
     """Serialize a complex matrix as nested [re, im] pairs, row-major."""
-    rows = []
-    for row in np.asarray(matrix, dtype=np.complex128):
-        rows.append(
-            [
-                [0.0, 0.0]
-                if zero_floor and abs(value) < zero_floor
-                else [float(value.real), float(value.imag)]
-                for value in row
-            ]
-        )
-    return rows
+    arr = np.asarray(matrix, dtype=np.complex128)
+    if zero_floor:
+        arr = np.where(np.abs(arr) < zero_floor, 0.0, arr)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
@@ -172,6 +165,8 @@ def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -
         return builder(int(qubits))
     if "matrix" in entry:
         matrix = pairs_to_matrix(entry["matrix"])
+        # size first: the unitarity check in GateSpec costs O(8**n)
+        _require_capacity(matrix.shape[0].bit_length() - 1)
         return GateSpec.from_matrix(matrix, name=entry.get("name"))
     raise ValueError("config gate entry must contain 'builtin' or 'matrix'")
 
@@ -302,7 +297,7 @@ def report_from_dict(doc: dict) -> FidelityReport:
 
 
 def _write_document(doc: dict, destination: str) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc) + "\n"
     if destination == "-":
         sys.stdout.write(text)
     else:

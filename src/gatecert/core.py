@@ -83,7 +83,8 @@ def _require_capacity(n_qubits: int, max_qubits: int = MAX_QUBITS) -> None:
     if n_qubits > max_qubits:
         raise CapacityError(
             f"{n_qubits} qubit(s) exceeds the supported maximum of {max_qubits}; "
-            f"the error basis would hold {1 << (2 * n_qubits)} dense operators"
+            f"the full process matrix and the dense error basis would each hold "
+            f"{1 << (4 * n_qubits)} complex entries"
         )
 
 
@@ -307,21 +308,34 @@ def single_qubit_error_factor(z_bit: int, x_bit: int) -> Operator:
     return Operator(1, left @ right)
 
 
-def _error_matrix(phase_mask: int, amp_mask: int, n_qubits: int) -> np.ndarray:
-    factors = [
-        single_qubit_error_factor(
-            _mask_bit(phase_mask, k, n_qubits), _mask_bit(amp_mask, k, n_qubits)
-        ).elements
-        for k in range(n_qubits)
-    ]
-    return reduce(np.kron, factors)
+def _walsh_signs(n_qubits: int) -> np.ndarray:
+    """The 2**n x 2**n sign table (-1)**popcount(z & r), row z, column r.
+
+    Row z holds the diagonal of the phase product Z**z; as a matrix the table
+    is the unnormalized Walsh-Hadamard transform, its own inverse up to 2**n.
+    """
+    return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
+
+
+def _pauli_products(phase_masks, amp_masks, n_qubits: int) -> np.ndarray:
+    """Stack of the error products Z**z @ X**x for the given (z, x) mask pairs only.
+
+    Each product is a signed permutation: (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r).
+    """
+    z = np.asarray(phase_masks, dtype=np.int64)
+    x = np.asarray(amp_masks, dtype=np.int64)
+    d = 1 << n_qubits
+    rows = np.arange(d)
+    stack = np.zeros((z.size, d, d), dtype=np.complex128)
+    stack[np.arange(z.size)[:, None], rows, rows ^ x[:, None]] = _walsh_signs(n_qubits)[z]
+    return stack
 
 
 def error_operator(index: ErrorIndex, n_qubits: int) -> Operator:
     """Tensor product of per-qubit error factors selected by the two masks."""
     n = _check_qubit_count(n_qubits)
     index.validate_for(n)
-    return Operator(n, _error_matrix(index.phase_mask, index.amp_mask, n))
+    return Operator(n, _pauli_products([index.phase_mask], [index.amp_mask], n)[0])
 
 
 def build_error_basis(gate: GateSpec, max_qubits: int = MAX_QUBITS) -> ErrorBasis:
@@ -332,10 +346,8 @@ def build_error_basis(gate: GateSpec, max_qubits: int = MAX_QUBITS) -> ErrorBasi
     """
     n = gate.n_qubits
     _require_capacity(n, max_qubits)
-    d = 1 << n
+    flat = np.arange(1 << (2 * n))
     u = gate.u00.elements
-    stack = np.empty((1 << (2 * n), d, d), dtype=np.complex128)
+    stack = u @ _pauli_products(flat >> n, flat & ((1 << n) - 1), n)
     stack[0] = u
-    for a in range(1, 1 << (2 * n)):
-        stack[a] = u @ _error_matrix(a >> n, a & (d - 1), n)
     return ErrorBasis(gate, stack)

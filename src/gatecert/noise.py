@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import GateSpec, _error_matrix, _require_capacity
+from .core import GateSpec, _pauli_products, _require_capacity
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -67,24 +67,24 @@ def _depolarizing_global(p: float, n_qubits: int) -> Channel:
     ops = []
     identity_weight = (1.0 - p) + uniform
     if identity_weight > 0.0:
-        ops.append(np.sqrt(identity_weight) * np.eye(d))
+        ops.append(np.sqrt(identity_weight) * np.eye(d)[np.newaxis])
     if uniform > 0.0:
-        scale = np.sqrt(uniform)
-        for a in range(1, count):
-            ops.append(scale * _error_matrix(a >> n_qubits, a & (d - 1), n_qubits))
-    return Channel(n_qubits, np.stack(ops))
+        flat = np.arange(1, count)
+        ops.append(np.sqrt(uniform) * _pauli_products(flat >> n_qubits, flat & (d - 1), n_qubits))
+    return Channel(n_qubits, np.concatenate(ops))
 
 
 def _independent_flip(p: float, n_qubits: int, phase: bool) -> Channel:
-    ops = []
+    masks, weights = [], []
     for mask in range(1 << n_qubits):
         flipped = mask.bit_count()
         weight = (1.0 - p) ** (n_qubits - flipped) * p**flipped
-        if weight == 0.0:
-            continue
-        matrix = _error_matrix(mask if phase else 0, 0 if phase else mask, n_qubits)
-        ops.append(np.sqrt(weight) * matrix)
-    return Channel(n_qubits, np.stack(ops))
+        if weight != 0.0:
+            masks.append(mask)
+            weights.append(weight)
+    zeros = [0] * len(masks)
+    products = _pauli_products(masks, zeros, n_qubits) if phase else _pauli_products(zeros, masks, n_qubits)
+    return Channel(n_qubits, np.sqrt(weights)[:, np.newaxis, np.newaxis] * products)
 
 
 def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, kraus_to_chi, process_fidelity
+from .channel import Channel, _chi_diagonal
 from .certify import BASES, FidelityReport, _assemble_report, classical_fidelity
 from .core import GateSpec
 
@@ -96,7 +96,7 @@ def sampled_report(channel: Channel, gate: GateSpec, shots_per_input: int, seed:
     ground truth, so a sampled report can show the estimates landing outside
     the exact sandwich; that scatter is the point of sampling.
     """
-    f_process = process_fidelity(kraus_to_chi(channel, gate))
+    f_process = float(_chi_diagonal(channel, gate)[0])
     est_z = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "z"), "z"))
     est_x = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "x"), "x"))
     return _assemble_report(

@@ -42,7 +42,9 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# The error basis for N qubits holds 4**N dense operators of size 2**N, so
-# memory grows as 16**N.  Six qubits (4096 operators of size 64 x 64) is the
-# largest configuration that stays desk-friendly.
+# Certification reads only the 4**N-entry diagonal of the process matrix, but
+# the full process matrix written by --include-chi and the dense error basis
+# built by basis-check (4**N operators of size 2**N) both hold 16**N complex
+# entries.  Six qubits (16.8 million entries, 268 MB each) is the largest
+# configuration that stays desk-friendly.
 MAX_QUBITS = 6

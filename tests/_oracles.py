@@ -80,6 +80,36 @@ def transfer_probabilities(kraus, unitary, inputs):
     return np.array(probs)
 
 
+def pauli_product(phase_mask, amp_mask, n_qubits):
+    """Z**z @ X**x as a Kronecker product of per-qubit factors Z**z_k @ X**x_k.
+
+    Qubit 0 is the leftmost factor and the most significant bit of each mask.
+    """
+    z_factor = np.diag([1.0, -1.0]).astype(complex)
+    x_factor = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(n_qubits):
+        shift = n_qubits - 1 - k
+        factor = np.linalg.matrix_power(z_factor, (phase_mask >> shift) & 1) @ np.linalg.matrix_power(
+            x_factor, (amp_mask >> shift) & 1
+        )
+        out = np.kron(out, factor)
+    return out
+
+
+def dense_chi(kraus, unitary):
+    """Process matrix through the dense 4**n-operator basis U_a = u Z**z X**x.
+
+    c_{m,a} = Tr(U_a^dag K_m) / 2**n for a = (z << n) + x, then chi = C^T C^*.
+    """
+    kraus = np.asarray(kraus)
+    d = kraus.shape[-1]
+    n_qubits = d.bit_length() - 1
+    basis = np.stack([unitary @ pauli_product(a >> n_qubits, a % d, n_qubits) for a in range(d * d)])
+    coeffs = np.einsum("aij,mij->ma", basis.conj(), kraus, optimize=True) / d
+    return coeffs.T @ coeffs.conj()
+
+
 def ghz_family_overlap(amplitudes):
     """Largest squared overlap with any phase-adjusted |m> + |complement(m)> pair."""
     amp = np.asarray(amplitudes)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,41 @@ def test_certify_depolarized_chain_closed_forms():
 
     report = certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate)
     assert report.capability_certified and not report.violation_certified
+
+
+def test_certify_full_rank_depolarizing_on_five_qubits():
+    # rank 1024: fz = fx = 1 - p + p / 2**n and F = 1 - p + p / 4**n
+    p = 0.1
+    gate = ghz_chain_gate(5)
+    report = certify(noisy_gate(gate, NoiseSpec("depolarizing_global", p)), gate)
+    assert report.fz == pytest.approx(1 - p + p / 32, abs=1e-12)
+    assert report.fx == pytest.approx(1 - p + p / 32, abs=1e-12)
+    assert report.f_process_exact == pytest.approx(1 - p + p / 1024, abs=1e-12)
+
+
+def test_certify_dephasing_on_six_qubits():
+    # phase flips after the chain gate never move a computational-basis
+    # image, and every one of them moves the complementary-basis image
+    p = 0.05
+    gate = ghz_chain_gate(6)
+    report = certify(noisy_gate(gate, NoiseSpec("dephasing_per_qubit", p)), gate)
+    assert report.fz == pytest.approx(1.0, abs=1e-12)
+    assert report.fx == pytest.approx((1 - p) ** 6, abs=1e-12)
+    assert report.f_process_exact == pytest.approx((1 - p) ** 6, abs=1e-12)
+
+
+def test_certify_rejects_a_transfer_fidelity_off_the_chi_diagonal(monkeypatch):
+    certify_module = importlib.import_module("gatecert.certify")
+    exact = certify_module.classical_fidelity
+
+    def shifted(channel, gate, basis):
+        table, value = exact(channel, gate, basis)
+        return table, value + 1e-6
+
+    monkeypatch.setattr(certify_module, "classical_fidelity", shifted)
+    gate = ghz_chain_gate(3)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.1)), gate)
 
 
 def test_certify_reports_no_correlation_outside_the_three_qubit_chain():

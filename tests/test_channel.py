@@ -3,6 +3,7 @@ import pytest
 
 from gatecert.channel import (
     Channel,
+    _chi_diagonal,
     ChiMatrix,
     apply_channel,
     error_probabilities,
@@ -19,7 +20,7 @@ from gatecert.core import (
     computational_ket,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
-from _oracles import apply_via_chi, chi_via_superoperator, random_density
+from _oracles import apply_via_chi, chi_via_superoperator, dense_chi, haar_unitary, random_density
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -137,6 +138,37 @@ def test_chi_expansion_reproduces_the_channel_action(n_qubits, n_channels):
             direct = np.einsum("mij,jk,mlk->il", ch.kraus_ops, rho, ch.kraus_ops.conj())
             via_chi = apply_via_chi(chi.entries, basis.operators, rho)
             assert np.max(np.abs(direct - via_chi)) < 1e-8
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_structured_chi_matches_the_dense_basis_oracle(n_qubits):
+    # the full matrix, off-diagonal phases included, and the certify-path
+    # diagonal against c = Tr(U_a^dag K) / 2**n over an explicit basis
+    rng = np.random.default_rng(300 + n_qubits)
+    specs = [NoiseSpec("random_cptp", rank=r, seed=s) for r, s in ((1, 5), (3, 6), (8, 7)) if r <= 4**n_qubits]
+    specs += [NoiseSpec(kind, 0.13) for kind in ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit")]
+    for _ in range(2):
+        gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
+        for spec in specs:
+            ch = noisy_gate(gate, spec)
+            reference = dense_chi(ch.kraus_ops, gate.u00.elements)
+            assert np.max(np.abs(kraus_to_chi(ch, gate).entries - reference)) < 1e-12
+            assert np.max(np.abs(_chi_diagonal(ch, gate) - np.diagonal(reference).real)) < 1e-12
+
+
+def test_broken_transform_fails_the_reconstruction_check(monkeypatch):
+    import gatecert.channel as channel_module
+
+    signs = channel_module._walsh_signs
+
+    def skewed_signs(n_qubits):
+        table = signs(n_qubits)
+        table[1, 0] = 0.0
+        return table
+
+    monkeypatch.setattr(channel_module, "_walsh_signs", skewed_signs)
+    with pytest.raises(ConsistencyError, match="reconstruction"):
+        kraus_to_chi(random_cptp(2, rank=3, seed=1), GateSpec.identity(2))
 
 
 def test_chi_is_invariant_under_kraus_reordering():

@@ -148,6 +148,16 @@ def test_certify_over_capacity_fails_fast(capsys):
     assert "maximum" in capsys.readouterr().err
 
 
+def test_config_matrix_over_capacity_is_rejected_before_the_unitarity_check(tmp_path, capsys):
+    matrix = [[[1.0, 0.0]] * 128 for _ in range(128)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix}}))
+    code, doc = run(tmp_path, "certify", "--config", str(path))
+    assert code == 1
+    assert doc is None
+    assert "maximum" in capsys.readouterr().err
+
+
 def test_nan_gate_matrix_is_rejected_as_non_unitary(tmp_path, capsys):
     matrix = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = tmp_path / "config.json"
@@ -207,6 +217,13 @@ def test_matrix_pair_serialization_round_trip():
     rng = np.random.default_rng(12)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.array_equal(pairs_to_matrix(matrix_to_pairs(m)), m)
+    # dust under the floor is written as an exact zero, signed zeros and
+    # entries at the floor are written as they are
+    dusty = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
+    written = [[str(v) for v in pair] for row in matrix_to_pairs(dusty, zero_floor=1e-14) for pair in row]
+    assert written == [["0.0", "0.0"], ["-0.0", "0.5"], ["1e-14", "0.0"], ["-0.25", "-0.0"]]
+    written = [[str(v) for v in pair] for row in matrix_to_pairs(dusty) for pair in row]
+    assert written == [["3e-15", "-2e-15"], ["-0.0", "0.5"], ["1e-14", "0.0"], ["-0.25", "-0.0"]]
     with pytest.raises(ValueError):
         pairs_to_matrix([[1.0, 2.0], [3.0, 4.0]])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatecert.core import (
+    _pauli_products,
     CapacityError,
     DensityMatrix,
     ErrorIndex,
@@ -14,7 +15,7 @@ from gatecert.core import (
     error_operator,
     single_qubit_error_factor,
 )
-from _oracles import haar_unitary
+from _oracles import haar_unitary, pauli_product
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -107,6 +108,18 @@ def test_error_operators_are_unitary():
         op = error_operator(ErrorIndex.from_flat(flat, 2), 2)
         gram = op.elements.conj().T @ op.elements
         assert np.allclose(gram, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_pauli_stack_matches_the_kron_of_factors_bit_for_bit(n_qubits):
+    d = 2**n_qubits
+    flat = np.arange(d * d)
+    stack = _pauli_products(flat >> n_qubits, flat % d, n_qubits)
+    for a in range(d * d):
+        assert np.array_equal(stack[a], pauli_product(a >> n_qubits, a % d, n_qubits))
+    # only the requested pairs are built, in the requested order
+    picked = flat[::-7]
+    assert np.array_equal(_pauli_products(picked >> n_qubits, picked % d, n_qubits), stack[picked])
 
 
 def test_error_index_flat_round_trip():
