@@ -34,8 +34,6 @@ from .core import (
     PAULI_X,
     PAULI_Y,
     _require_capacity,
-    complementary_ket,
-    computational_ket,
 )
 from .tolerances import TOL
 
@@ -144,8 +142,9 @@ class FidelityReport:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
         if (self.ghz_expectation is None) != (self.ghz_floor is None):
             raise ValueError("correlation expectation and floor must be reported together")
+        _check_unit_interval(fz=self.fz, fx=self.fx)
         expected_cap = 2.0 * self.fz + 2.0 * self.fx - 3.0
-        if abs(self.capability_bound - expected_cap) > 1e-12:
+        if not abs(self.capability_bound - expected_cap) <= TOL.capability_arithmetic:
             raise ConsistencyError(
                 f"capability bound {self.capability_bound!r} disagrees with 2(fz + fx) - 3"
             )
@@ -162,12 +161,21 @@ class FidelityReport:
                 )
 
 
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
-    """Matrix whose column n is input state |psi_n> of the chosen product basis."""
+    """Matrix whose column n is input state |psi_n> of the chosen product basis.
+
+    The computational frame is the identity; the complementary frame is the
+    Kronecker power H^(x n) of the normalized Hadamard, whose column n is the
+    product of |+> and |-> factors selected by the bits of n.
+    """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    ket = computational_ket if basis == "z" else complementary_ket
-    return np.stack([ket(n, n_qubits).amplitudes for n in range(1 << n_qubits)], axis=1)
+    if basis == "z":
+        return np.eye(1 << n_qubits, dtype=np.complex128)
+    return _kron_all(*[_HADAMARD] * n_qubits).astype(np.complex128)
 
 
 def ideal_outputs(gate: GateSpec, basis: str) -> list[Ket]:
@@ -182,8 +190,9 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     Input n of the chosen product basis succeeds with probability
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
-    columns of one frame matrix.  The mean over the 2**n inputs is the
-    transfer fidelity for that basis.
+    columns of one frame matrix, and every K_m @ frame comes from one product
+    of the vertically stacked Kraus operators with the frame.  The mean over
+    the 2**n inputs is the transfer fidelity for that basis.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
@@ -191,7 +200,9 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
         )
     frame = _input_frame(gate.n_qubits, basis)
     targets = gate.u00.elements @ frame
-    amplitudes = np.einsum("in,min->mn", targets.conj(), channel.kraus_ops @ frame)
+    kraus = channel.kraus_ops
+    outputs = (kraus.reshape(-1, kraus.shape[-1]) @ frame).reshape(kraus.shape)
+    amplitudes = np.einsum("in,min->mn", targets.conj(), outputs)
     table = TransferTable(basis, np.sum(np.abs(amplitudes) ** 2, axis=0))
     return table, float(np.mean(table.probabilities))
 
@@ -239,6 +250,15 @@ def fidelity_bounds(fz: float, fx: float) -> tuple[float, float]:
     return fz + fx - 1.0, min(fz, fx)
 
 
+def _ghz_chain_unitary(n_qubits: int) -> np.ndarray:
+    """The raw matrix of ``ghz_chain_gate``, without the GateSpec checks."""
+    half = 1 << (n_qubits - 1)
+    u = np.zeros((2 * half, 2 * half), dtype=np.complex128)
+    u[:half, :half] = np.eye(half)
+    u[half:, half:] = np.fliplr(np.eye(half))
+    return u
+
+
 def ghz_chain_gate(n_qubits: int) -> GateSpec:
     """Entangling chain on n qubits: flip every target iff the first qubit is 1.
 
@@ -249,11 +269,7 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
     if n_qubits < 2:
         raise ValueError(f"the entangling chain needs at least 2 qubits, got {n_qubits!r}")
     _require_capacity(n_qubits)
-    half = 1 << (n_qubits - 1)
-    u = np.zeros((2 * half, 2 * half), dtype=np.complex128)
-    u[:half, :half] = np.eye(half)
-    u[half:, half:] = np.fliplr(np.eye(half))
-    return GateSpec(n_qubits, Operator(n_qubits, u), name="ghz-chain")
+    return GateSpec(n_qubits, Operator(n_qubits, _ghz_chain_unitary(n_qubits)), name="ghz-chain")
 
 
 def entangling_input(n_qubits: int) -> Ket:
@@ -309,11 +325,15 @@ def ghz_floor(f_process: float) -> float:
     return 8.0 * f_process - 4.0
 
 
+# Built once: ghz_summary compares every gate against it.
+_GHZ_CHAIN_3 = _ghz_chain_unitary(3)
+_GHZ_CHAIN_3.setflags(write=False)
+
+
 def _is_ghz_chain_3(gate: GateSpec) -> bool:
     if gate.n_qubits != 3:
         return False
-    reference = ghz_chain_gate(3).u00.elements
-    return bool(np.allclose(gate.u00.elements, reference, rtol=0.0, atol=1e-12))
+    return bool(np.allclose(gate.u00.elements, _GHZ_CHAIN_3, rtol=0.0, atol=TOL.gate_match))
 
 
 def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:

@@ -48,8 +48,13 @@ __all__ = [
 
 
 def _completeness_residual(kraus: np.ndarray) -> float:
-    """Max-entry deviation of sum_m K_m^dag K_m from the identity."""
-    total = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
+    """Max-entry deviation of sum_m K_m^dag K_m from the identity.
+
+    Stacking the operators vertically into one (m 2**n x 2**n) matrix turns
+    the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.
+    """
+    flat = kraus.reshape(-1, kraus.shape[-1])
+    total = flat.conj().T @ flat
     return float(np.max(np.abs(total - np.eye(kraus.shape[-1]))))
 
 
@@ -139,13 +144,21 @@ class ChannelValidation:
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """E(rho) = sum_m K_m rho K_m^dag."""
+    """E(rho) = sum_m K_m rho K_m^dag.
+
+    With the side-by-side blocks [K_1 rho ... K_m rho] and [K_1 ... K_m], the
+    sum is the one product [K_1 rho ... K_m rho] [K_1 ... K_m]^dag.
+    """
     if channel.n_qubits != rho.n_qubits:
         raise ValueError(
             f"channel acts on {channel.n_qubits} qubit(s) but the state has {rho.n_qubits}"
         )
-    out = np.einsum("mij,jk,mlk->il", channel.kraus_ops, rho.elements, channel.kraus_ops.conj())
-    return DensityMatrix(channel.n_qubits, out)
+    kraus = channel.kraus_ops
+    m, d, _ = kraus.shape
+    side_by_side = kraus.transpose(1, 0, 2).reshape(d, m * d)
+    evolved = kraus.reshape(m * d, d) @ rho.elements
+    evolved = evolved.reshape(m, d, d).transpose(1, 0, 2).reshape(d, m * d)
+    return DensityMatrix(channel.n_qubits, evolved @ side_by_side.conj().T)
 
 
 def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:

@@ -138,6 +138,14 @@ def chi_to_pairs(chi: ChiMatrix) -> list:
     return matrix_to_pairs(chi.entries, zero_floor=CHI_SERIALIZATION_FLOOR)
 
 
+def _config_int(label: str, value) -> int:
+    """``int(value)``, with a ValueError naming the field for NaN, infinity or a non-number."""
+    try:
+        return int(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{label} must be an integer, got {value!r}") from exc
+
+
 def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:
     if flag_gate is not None:
         builder = _BUILTIN_GATES.get(flag_gate)
@@ -150,7 +158,7 @@ def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -
             qubits = entry.get("qubits")
         if qubits is None:
             raise ValueError("a builtin gate needs --qubits")
-        return builder(int(qubits))
+        return builder(_config_int("qubits", qubits))
     if entry is None:
         raise ValueError("no gate specified; pass --gate or a config with a gate entry")
     if not isinstance(entry, dict):
@@ -162,7 +170,7 @@ def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -
         qubits = flag_qubits if flag_qubits is not None else entry.get("qubits")
         if qubits is None:
             raise ValueError("a builtin gate needs a qubit count")
-        return builder(int(qubits))
+        return builder(_config_int("qubits", qubits))
     if "matrix" in entry:
         matrix = pairs_to_matrix(entry["matrix"])
         # size first: the unitarity check in GateSpec costs O(8**n)
@@ -185,7 +193,11 @@ def _noise_from_entry(entry) -> NoiseSpec:
         raise ValueError("config noise entry must be an object with a 'kind' field")
     kind = entry["kind"]
     if kind == "random_cptp":
-        return NoiseSpec(kind=kind, rank=int(entry["rank"]), seed=int(entry["seed"]))
+        return NoiseSpec(
+            kind=kind,
+            rank=_config_int("rank", entry["rank"]),
+            seed=_config_int("seed", entry["seed"]),
+        )
     return NoiseSpec(kind=kind, strength=float(entry["p"]))
 
 
@@ -215,8 +227,8 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
         gate=gate,
         noise=noise,
         mode=mode,
-        shots=None if shots is None else int(shots),
-        seed=int(seed),
+        shots=None if shots is None else _config_int("shots", shots),
+        seed=_config_int("seed", seed),
         output=output,
         include_chi=bool(getattr(args, "include_chi", False)),
     )

@@ -262,8 +262,13 @@ class ErrorBasis:
         return Operator(n, self.operators[index.flat(n)])
 
     def gram_residual(self) -> float:
-        """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over all pairs."""
-        gram = np.einsum("aij,bij->ab", self.operators.conj(), self.operators)
+        """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over all pairs.
+
+        Tr{U_a^dag U_b} is the inner product of the flattened operators, so
+        the whole Gram matrix is one (4**n x 4**n) product.
+        """
+        flat = self.operators.reshape(len(self), -1)
+        gram = flat.conj() @ flat.T
         expected = (1 << self.gate.n_qubits) * np.eye(len(self))
         return float(np.max(np.abs(gram - expected)))
 

@@ -121,6 +121,11 @@ def make_noise(spec: NoiseSpec, n_qubits: int) -> Channel:
 
 
 def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
-    """The target gate followed by noise: Kraus operators N_k @ u00."""
-    noise = make_noise(spec, gate.n_qubits)
-    return Channel(gate.n_qubits, noise.kraus_ops @ gate.u00.elements)
+    """The target gate followed by noise: Kraus operators N_k @ u00.
+
+    The noise operators, stacked vertically into one (m 2**n x 2**n) matrix,
+    are multiplied by u00 in a single product.
+    """
+    noise = make_noise(spec, gate.n_qubits).kraus_ops
+    stacked = noise.reshape(-1, noise.shape[-1]) @ gate.u00.elements
+    return Channel(gate.n_qubits, stacked.reshape(noise.shape))

@@ -15,6 +15,7 @@ import numpy as np
 from .channel import Channel, _chi_diagonal
 from .certify import BASES, FidelityReport, _assemble_report, classical_fidelity
 from .core import GateSpec
+from .tolerances import TOL
 
 __all__ = ["ShotPlan", "FidelityEstimate", "sample_transfer", "sampled_report", "basis_subseed"]
 
@@ -64,7 +65,7 @@ class FidelityEstimate:
         successes = sum(self.per_input_counts.values())
         if self.shots_total < len(self.per_input_counts) or successes > self.shots_total:
             raise ValueError("success counts exceed the recorded shot total")
-        if abs(self.mean - successes / self.shots_total) > 1e-12:
+        if not abs(self.mean - successes / self.shots_total) <= TOL.pooled_mean:
             raise ValueError("estimated mean disagrees with the pooled counts")
 
 

@@ -38,6 +38,12 @@ class Tolerances:
     # same real number; bound_dust absorbs that last-ulp disagreement.
     bound_dust: float = 1e-12
     commutation: float = 1e-10
+    # A report's capability bound must be 2(fz + fx) - 3 of its own fz, fx.
+    capability_arithmetic: float = 1e-12
+    # A finite-shot mean must be its pooled success count over the shot total.
+    pooled_mean: float = 1e-12
+    # Entry-wise distance at which a gate counts as the 3-qubit entangling chain.
+    gate_match: float = 1e-12
 
 
 TOL = Tolerances()

@@ -33,6 +33,32 @@ def superoperator(kraus):
     return s
 
 
+def completeness_residual(kraus):
+    """Max-entry deviation of sum_m K_m^dag K_m from I, summed one row outer product at a time.
+
+    sum_m K_m^dag K_m = sum_{m,j} conj(row_j(K_m))^T row_j(K_m).
+    """
+    kraus = np.asarray(kraus)
+    d = kraus.shape[-1]
+    total = np.zeros((d, d), dtype=complex)
+    for k in kraus:
+        for row in k:
+            total += np.outer(row.conj(), row)
+    return float(np.max(np.abs(total - np.eye(d))))
+
+
+def gram_residual(operators):
+    """Max deviation of Tr{U_a^dag U_b} from d delta_ab, one pair at a time."""
+    operators = np.asarray(operators)
+    q, d = operators.shape[0], operators.shape[-1]
+    worst = 0.0
+    for a in range(q):
+        for b in range(q):
+            inner = np.sum(operators[a].conj() * operators[b])
+            worst = max(worst, abs(inner - (d if a == b else 0.0)))
+    return worst
+
+
 def chi_via_superoperator(kraus, basis_ops):
     """Process matrix recovered by least squares from the superoperator.
 

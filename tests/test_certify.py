@@ -14,6 +14,7 @@ from gatecert.core import (
     computational_ket,
 )
 from gatecert.certify import (
+    _input_frame,
     CAPABILITY_THRESHOLD,
     VIOLATION_THRESHOLD,
     FidelityReport,
@@ -54,6 +55,15 @@ def ghz_state(n_qubits):
     amp = np.zeros(2**n_qubits, dtype=complex)
     amp[0] = amp[-1] = 1 / np.sqrt(2)
     return amp
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
+def test_input_frames_hold_the_product_kets_bit_for_bit(n_qubits):
+    for basis, ket in (("z", computational_ket), ("x", complementary_ket)):
+        columns = [ket(n, n_qubits).amplitudes for n in range(2**n_qubits)]
+        frame = _input_frame(n_qubits, basis)
+        assert frame.dtype == np.complex128
+        assert np.array_equal(frame, np.stack(columns, axis=1))
 
 
 def test_ideal_outputs_of_the_identity_are_the_inputs():
@@ -428,6 +438,25 @@ def test_report_rejects_an_escaped_sandwich():
             capability_bound=2 * 0.9 + 2 * 0.9 - 3,
             capability_certified=True,
             violation_certified=True,
+        )
+
+
+@pytest.mark.parametrize("provenance", ["exact", "sampled"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5])
+@pytest.mark.parametrize("field", ["fz", "fx"])
+def test_report_rejects_a_fidelity_outside_the_unit_interval(field, bad, provenance):
+    # The capability bound is built from the bad value, so only the range check can catch it.
+    values = {"fz": 0.9, "fx": 0.9, field: bad}
+    with pytest.raises(ValueError, match=field):
+        FidelityReport(
+            **values,
+            f_process_exact=0.85,
+            lower_bound=0.8,
+            upper_bound=0.9,
+            capability_bound=2 * values["fz"] + 2 * values["fx"] - 3,
+            capability_certified=True,
+            violation_certified=True,
+            provenance=provenance,
         )
 
 

@@ -4,6 +4,7 @@ import pytest
 from gatecert.channel import (
     Channel,
     _chi_diagonal,
+    _completeness_residual,
     ChiMatrix,
     apply_channel,
     error_probabilities,
@@ -20,7 +21,15 @@ from gatecert.core import (
     computational_ket,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
-from _oracles import apply_via_chi, chi_via_superoperator, dense_chi, haar_unitary, random_density
+from _oracles import (
+    apply_via_chi,
+    chi_via_superoperator,
+    completeness_residual,
+    dense_chi,
+    haar_unitary,
+    random_density,
+    superoperator,
+)
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -70,6 +79,31 @@ def test_apply_unitary_channel_conjugates():
     rho = DensityMatrix(2, random_density(rng, 2))
     out = apply_channel(unitary_channel(CNOT), rho)
     assert np.allclose(out.elements, CNOT @ rho.elements @ CNOT.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_completeness_residual_matches_the_row_by_row_sum(n_qubits):
+    # Ginibre stacks are far from trace preserving, so every entry of the sum counts.
+    rng = np.random.default_rng(60 + n_qubits)
+    d = 2**n_qubits
+    for rank in sorted({1, 2, d, d * d}):
+        kraus = (rng.standard_normal((rank, d, d)) + 1j * rng.standard_normal((rank, d, d))) / d
+        expected = completeness_residual(kraus)
+        assert _completeness_residual(kraus) == pytest.approx(expected, rel=1e-12)
+        isometry = random_cptp(n_qubits, rank, seed=rank).kraus_ops
+        assert _completeness_residual(isometry) == pytest.approx(completeness_residual(isometry), abs=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_apply_channel_matches_the_superoperator(n_qubits):
+    rng = np.random.default_rng(70 + n_qubits)
+    d = 2**n_qubits
+    for rank in sorted({1, 3, d * d}):
+        ch = random_cptp(n_qubits, rank, seed=int(rng.integers(1 << 30)))
+        rho = random_density(rng, n_qubits)
+        expected = (superoperator(ch.kraus_ops) @ rho.reshape(-1)).reshape(d, d)
+        out = apply_channel(ch, DensityMatrix(n_qubits, rho))
+        assert np.max(np.abs(out.elements - expected)) < 1e-13
 
 
 def test_apply_dimension_mismatch():

@@ -170,6 +170,18 @@ def test_nan_gate_matrix_is_rejected_as_non_unitary(tmp_path, capsys):
     assert "basis" not in err
 
 
+@pytest.mark.parametrize("field,shots,seed", [("shots", "Infinity", "0"), ("seed", "10", "NaN")])
+def test_non_finite_config_integers_are_rejected_by_name(tmp_path, capsys, field, shots, seed):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"gate": {{"builtin": "ghz-chain", "qubits": 3}}, "shots": {shots}, "seed": {seed}}}')
+    code, doc = run(tmp_path, "sample", "--config", str(path))
+    assert code == 1
+    assert doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field in err
+
+
 def test_sample_command_round_trips_and_is_seeded(tmp_path):
     args = (
         "sample", "--gate", "ghz-chain", "--qubits", "3",

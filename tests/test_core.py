@@ -5,6 +5,7 @@ from gatecert.core import (
     _pauli_products,
     CapacityError,
     DensityMatrix,
+    ErrorBasis,
     ErrorIndex,
     GateSpec,
     Ket,
@@ -15,7 +16,7 @@ from gatecert.core import (
     error_operator,
     single_qubit_error_factor,
 )
-from _oracles import haar_unitary, pauli_product
+from _oracles import gram_residual, haar_unitary, pauli_product
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -159,6 +160,20 @@ def test_basis_orthogonality_random_gate():
     rng = np.random.default_rng(7)
     gate = GateSpec.from_matrix(haar_unitary(rng, 4))
     assert build_error_basis(gate).gram_residual() < 1e-10
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_gram_residual_matches_the_pairwise_traces(n_qubits):
+    # Perturbing every row but the gate itself makes the Gram matrix far from 2**n I.
+    rng = np.random.default_rng(80 + n_qubits)
+    d = 2**n_qubits
+    gate = GateSpec.from_matrix(haar_unitary(rng, d))
+    ops = np.array(build_error_basis(gate).operators)
+    ops[1:] += 0.1 * (rng.standard_normal(ops[1:].shape) + 1j * rng.standard_normal(ops[1:].shape))
+    perturbed = ErrorBasis(gate, ops)
+    assert perturbed.gram_residual() == pytest.approx(gram_residual(ops), rel=1e-12)
+    exact = build_error_basis(gate)
+    assert exact.gram_residual() == pytest.approx(gram_residual(exact.operators), abs=1e-13)
 
 
 def test_basis_operator_lookup():

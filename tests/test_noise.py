@@ -4,7 +4,7 @@ import pytest
 from gatecert.channel import apply_channel, kraus_to_chi, validate_channel
 from gatecert.core import CapacityError, DensityMatrix, GateSpec, complementary_ket, computational_ket
 from gatecert.noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
-from _oracles import random_density, superoperator
+from _oracles import haar_unitary, random_density, superoperator
 
 CNOT = np.array(
     [
@@ -142,6 +142,17 @@ def test_noisy_gate_without_noise_strength_is_the_pure_gate():
     ch = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.0))
     assert ch.rank == 1
     assert np.allclose(ch.kraus_ops[0], CNOT, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_noisy_gate_multiplies_every_noise_operator_by_the_gate(n_qubits):
+    rng = np.random.default_rng(90 + n_qubits)
+    gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
+    for kind in NOISE_KINDS:
+        spec = NoiseSpec(kind, 0.3, rank=3, seed=n_qubits)
+        noise = make_noise(spec, n_qubits).kraus_ops
+        expected = [k @ gate.u00.elements for k in noise]
+        assert np.max(np.abs(noisy_gate(gate, spec).kraus_ops - expected)) < 1e-14
 
 
 def test_noisy_gate_process_fidelity_closed_form():
