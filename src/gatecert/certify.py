@@ -191,19 +191,26 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
     columns of one frame matrix, and every K_m @ frame comes from one product
-    of the vertically stacked Kraus operators with the frame.  The mean over
-    the 2**n inputs is the transfer fidelity for that basis.
+    of the vertically stacked Kraus operators with the frame.  The
+    computational frame is the identity, so there the propagated columns are
+    the Kraus operators themselves, the ideal images are the columns of u00,
+    and no product is taken.  The mean over the 2**n inputs is the transfer
+    fidelity for that basis.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
             f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
         )
-    frame = _input_frame(gate.n_qubits, basis)
-    targets = gate.u00.elements @ frame
     kraus = channel.kraus_ops
-    outputs = (kraus.reshape(-1, kraus.shape[-1]) @ frame).reshape(kraus.shape)
-    amplitudes = np.einsum("in,min->mn", targets.conj(), outputs)
-    table = TransferTable(basis, np.sum(np.abs(amplitudes) ** 2, axis=0))
+    if basis == "z":
+        targets, outputs = gate.u00.elements, kraus
+    else:
+        frame = _input_frame(gate.n_qubits, basis)
+        targets = gate.u00.elements @ frame
+        outputs = (kraus.reshape(-1, kraus.shape[-1]) @ frame).reshape(kraus.shape)
+    weights = np.abs(np.einsum("in,min->mn", targets.conj(), outputs))
+    weights **= 2
+    table = TransferTable(basis, np.sum(weights, axis=0))
     return table, float(np.mean(table.probabilities))
 
 
@@ -212,7 +219,7 @@ def _require_diagonal_identity(fz: float, fx: float, diag: np.ndarray) -> tuple[
     d = math.isqrt(diag.size)
     residual_z = abs(fz - float(np.sum(diag[::d])))
     residual_x = abs(fx - float(np.sum(diag[:d])))
-    if residual_z > TOL.diagonal_identity or residual_x > TOL.diagonal_identity:
+    if not (residual_z <= TOL.diagonal_identity and residual_x <= TOL.diagonal_identity):
         raise ConsistencyError(
             "transfer fidelities disagree with the process-matrix diagonal sums: "
             f"|fz - sum| = {residual_z:.3e}, |fx - sum| = {residual_x:.3e}"

@@ -51,11 +51,17 @@ def _completeness_residual(kraus: np.ndarray) -> float:
     """Max-entry deviation of sum_m K_m^dag K_m from the identity.
 
     Stacking the operators vertically into one (m 2**n x 2**n) matrix turns
-    the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.
+    the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.  That
+    product is taken as the real Gram matrix g = v^T v of the float64 view v
+    of ``flat``, whose columns interleave the real and imaginary parts, so
+    no conjugated copy of the stack is made:
+    Re = g[re, re] + g[im, im] and Im = g[re, im] - g[im, re].
     """
-    flat = kraus.reshape(-1, kraus.shape[-1])
-    total = flat.conj().T @ flat
-    return float(np.max(np.abs(total - np.eye(kraus.shape[-1]))))
+    d = kraus.shape[-1]
+    view = np.ascontiguousarray(kraus, dtype=np.complex128).reshape(-1, d).view(np.float64)
+    gram = view.T @ view
+    total = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
+    return float(np.max(np.abs(total - np.eye(d))))
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,11 @@ class Channel:
 
 
 def _check_error_distribution(diag: np.ndarray, trace: complex) -> None:
-    """Reject a process-matrix diagonal outside [0, 1] or a trace other than 1."""
-    if float(np.min(diag)) < -TOL.chi_diagonal or float(np.max(diag)) > 1.0 + TOL.chi_diagonal:
+    """Reject a process-matrix diagonal outside [0, 1] or a trace other than 1, or NaN."""
+    low, high = float(np.min(diag)), float(np.max(diag))
+    if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
         raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
-    if abs(trace - 1.0) > TOL.chi_trace:
+    if not abs(trace - 1.0) <= TOL.chi_trace:
         raise ValueError(f"process matrix must have unit trace, got {trace!r}")
 
 
@@ -119,14 +126,14 @@ class ChiMatrix:
         if mat.shape != (q, q):
             raise ValueError(f"expected a {q} x {q} process matrix, got shape {mat.shape}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > TOL.chi_hermiticity:
+        if not herm <= TOL.chi_hermiticity:
             raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
         diag = np.diagonal(mat)
-        if float(np.max(np.abs(diag.imag))) > TOL.chi_diagonal:
+        if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
             raise ValueError("process-matrix diagonal has a non-real entry")
         _check_error_distribution(diag.real, complex(np.trace(mat)))
         smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if smallest < TOL.chi_psd_floor:
+        if not smallest >= TOL.chi_psd_floor:
             raise ValueError(
                 f"process matrix is not positive semidefinite: min eigenvalue {smallest:.3e}"
             )
@@ -162,12 +169,19 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
-    """The m x 4**n coefficients c_{m,a} of every Kraus operator over the error basis.
+    """The 4**n x m matrix C^T: row a, column m holds c_{m,a}.
 
     Runs the Walsh-Hadamard transform of the module docstring.  The inverse
     transform then rebuilds every gathered G_m from its coefficients; a
     mismatch raises ConsistencyError because it can only come from a bug in
     the transform or the bookkeeping, not from user input.
+
+    The gather lays G out as one 2**n x (2**n m) matrix, row s and column
+    (x, m), so each transform is a single product with the real sign table,
+    taken over the float64 view (real and imaginary parts side by side).  The
+    1/2**n normalization sits in the sign table, and the reconstruction
+    overwrites the spent u00^dag K buffer, so the only stack-sized arrays are
+    that product, the gather and the coefficients.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
@@ -176,22 +190,31 @@ def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
     n = gate.n_qubits
     _require_capacity(n)
     d = 1 << n
+    m = channel.rank
     signs = _walsh_signs(n)
     rows = np.arange(d)[:, np.newaxis]
-    gathered = (gate.u00.elements.conj().T @ channel.kraus_ops)[:, rows, rows ^ rows.T]
-    coeffs = signs @ gathered / d
-    residual = float(np.max(np.abs(signs @ coeffs - gathered)))
-    if residual > TOL.reconstruction:
+    product = gate.u00.elements.conj().T @ channel.kraus_ops
+    gathered = product.transpose(1, 2, 0)[rows, rows ^ rows.T].reshape(d, d * m)
+    coeffs = ((signs / d) @ gathered.view(np.float64)).view(np.complex128)
+    rebuilt = product.reshape(d, d * m)
+    np.matmul(signs, coeffs.view(np.float64), out=rebuilt.view(np.float64))
+    rebuilt -= gathered
+    residual = float(np.max(np.abs(rebuilt)))
+    if not residual <= TOL.reconstruction:
         raise ConsistencyError(
             f"Kraus reconstruction from basis coefficients failed: max residual {residual:.3e}"
         )
-    return coeffs.reshape(channel.rank, d * d)
+    return coeffs.reshape(d * d, m)
 
 
 def _chi_diagonal(channel: Channel, gate: GateSpec) -> np.ndarray:
-    """The error probabilities chi_{a,a} = sum_m |c_{m,a}|^2, without the full process matrix."""
-    coeffs = _error_coefficients(channel, gate)
-    diag = np.einsum("ma,ma->a", coeffs.conj(), coeffs).real
+    """The error probabilities chi_{a,a} = sum_m |c_{m,a}|^2, without the full process matrix.
+
+    Row a of the float64 view of C^T holds the real and imaginary parts of
+    every c_{m,a}, so each entry is one sum of squares over that row.
+    """
+    parts = _error_coefficients(channel, gate).view(np.float64)
+    diag = np.einsum("ak,ak->a", parts, parts)
     _check_error_distribution(diag, complex(np.sum(diag)))
     return diag
 
@@ -210,8 +233,8 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
         basis.gate.u00.elements, gate.u00.elements
     ):
         raise ValueError("supplied basis was built for a different gate")
-    coeffs = _error_coefficients(channel, gate)
-    return ChiMatrix(gate, coeffs.T @ coeffs.conj())
+    coeffs_t = _error_coefficients(channel, gate)
+    return ChiMatrix(gate, coeffs_t @ coeffs_t.conj().T)
 
 
 def process_fidelity(chi: ChiMatrix) -> float:
@@ -245,16 +268,17 @@ def validate_channel(kraus_ops, tol: float = TOL.kraus_trace_preserving) -> Chan
     can diagnose inputs the Channel constructor would reject outright.
     """
     if isinstance(kraus_ops, Channel):
-        ops = [np.asarray(k) for k in kraus_ops.kraus_ops]
+        stack = kraus_ops.kraus_ops
     else:
         ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
-    shapes = tuple(op.shape for op in ops)
-    well_formed = (
-        len(ops) > 0
-        and all(op.ndim == 2 and op.shape[0] == op.shape[1] for op in ops)
-        and len({op.shape for op in ops}) == 1
-    )
-    if not well_formed:
-        return ChannelValidation(float("inf"), shapes, False)
-    residual = _completeness_residual(np.stack(ops))
-    return ChannelValidation(residual, shapes, residual <= tol)
+        shapes = tuple(op.shape for op in ops)
+        well_formed = (
+            len(ops) > 0
+            and all(op.ndim == 2 and op.shape[0] == op.shape[1] for op in ops)
+            and len({op.shape for op in ops}) == 1
+        )
+        if not well_formed:
+            return ChannelValidation(float("inf"), shapes, False)
+        stack = np.stack(ops)
+    residual = _completeness_residual(stack)
+    return ChannelValidation(residual, (stack.shape[1:],) * stack.shape[0], residual <= tol)

@@ -127,13 +127,13 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got shape {mat.shape}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > TOL.hermiticity:
+        if not herm <= TOL.hermiticity:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TOL.trace_one:
+        if not abs(trace - 1.0) <= TOL.trace_one:
             raise ValueError(f"trace must be 1, got {trace!r}")
         smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if smallest < TOL.psd_floor:
+        if not smallest >= TOL.psd_floor:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {smallest:.3e}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "elements", mat)
@@ -322,17 +322,22 @@ def _walsh_signs(n_qubits: int) -> np.ndarray:
     return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
 
 
-def _pauli_products(phase_masks, amp_masks, n_qubits: int) -> np.ndarray:
+def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None) -> np.ndarray:
     """Stack of the error products Z**z @ X**x for the given (z, x) mask pairs only.
 
     Each product is a signed permutation: (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r).
+    With ``scale``, product k is multiplied by ``scale[k]``; the scaled signs are
+    written straight into the one stack, so no second stack-sized array is made.
     """
     z = np.asarray(phase_masks, dtype=np.int64)
     x = np.asarray(amp_masks, dtype=np.int64)
     d = 1 << n_qubits
     rows = np.arange(d)
+    signs = _walsh_signs(n_qubits)[z]
+    if scale is not None:
+        signs *= np.asarray(scale, dtype=np.float64)[:, np.newaxis]
     stack = np.zeros((z.size, d, d), dtype=np.complex128)
-    stack[np.arange(z.size)[:, None], rows, rows ^ x[:, None]] = _walsh_signs(n_qubits)[z]
+    stack[np.arange(z.size)[:, None], rows, rows ^ x[:, None]] = signs
     return stack
 
 

@@ -61,17 +61,14 @@ class NoiseSpec:
 
 
 def _depolarizing_global(p: float, n_qubits: int) -> Channel:
-    d = 1 << n_qubits
     count = 1 << (2 * n_qubits)
-    uniform = p / count
-    ops = []
-    identity_weight = (1.0 - p) + uniform
-    if identity_weight > 0.0:
-        ops.append(np.sqrt(identity_weight) * np.eye(d)[np.newaxis])
-    if uniform > 0.0:
-        flat = np.arange(1, count)
-        ops.append(np.sqrt(uniform) * _pauli_products(flat >> n_qubits, flat & (d - 1), n_qubits))
-    return Channel(n_qubits, np.concatenate(ops))
+    weights = np.full(count, p / count)
+    weights[0] += 1.0 - p
+    flat = np.flatnonzero(weights)
+    products = _pauli_products(
+        flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat])
+    )
+    return Channel(n_qubits, products)
 
 
 def _independent_flip(p: float, n_qubits: int, phase: bool) -> Channel:
@@ -83,8 +80,8 @@ def _independent_flip(p: float, n_qubits: int, phase: bool) -> Channel:
             masks.append(mask)
             weights.append(weight)
     zeros = [0] * len(masks)
-    products = _pauli_products(masks, zeros, n_qubits) if phase else _pauli_products(zeros, masks, n_qubits)
-    return Channel(n_qubits, np.sqrt(weights)[:, np.newaxis, np.newaxis] * products)
+    phase_masks, amp_masks = (masks, zeros) if phase else (zeros, masks)
+    return Channel(n_qubits, _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights)))
 
 
 def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
@@ -124,8 +121,12 @@ def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
     """The target gate followed by noise: Kraus operators N_k @ u00.
 
     The noise operators, stacked vertically into one (m 2**n x 2**n) matrix,
-    are multiplied by u00 in a single product.
+    are multiplied by u00 in a single product.  The noise stack is released
+    before the returned Channel takes its defensive copy, so at most two
+    stack-sized arrays are alive at once.
     """
     noise = make_noise(spec, gate.n_qubits).kraus_ops
-    stacked = noise.reshape(-1, noise.shape[-1]) @ gate.u00.elements
-    return Channel(gate.n_qubits, stacked.reshape(noise.shape))
+    shape = noise.shape
+    stacked = noise.reshape(-1, shape[-1]) @ gate.u00.elements
+    del noise
+    return Channel(gate.n_qubits, stacked.reshape(shape))

@@ -5,6 +5,8 @@ package's own decomposition code, so that agreement between the two is a
 meaningful check rather than a tautology.
 """
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -145,3 +147,14 @@ def ghz_family_overlap(amplitudes):
         overlap = (abs(amp[m]) + abs(amp[d - 1 - m])) ** 2 / 2.0
         best = max(best, overlap)
     return best
+
+
+def allocation_peak(fn):
+    """Run ``fn()`` and return (its result, the peak traced bytes allocated above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -15,6 +15,7 @@ from gatecert.core import (
 )
 from gatecert.certify import (
     _input_frame,
+    _require_diagonal_identity,
     CAPABILITY_THRESHOLD,
     VIOLATION_THRESHOLD,
     FidelityReport,
@@ -33,7 +34,7 @@ from gatecert.certify import (
     violation_verdict,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
-from _oracles import haar_unitary, product_inputs, transfer_probabilities
+from _oracles import allocation_peak, haar_unitary, product_inputs, transfer_probabilities
 
 CNOT = np.array(
     [
@@ -330,6 +331,36 @@ def test_certify_rejects_a_transfer_fidelity_off_the_chi_diagonal(monkeypatch):
     gate = ghz_chain_gate(3)
     with pytest.raises(ConsistencyError, match="diagonal sums"):
         certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.1)), gate)
+
+
+@pytest.mark.parametrize("fz,fx", [(np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)])
+def test_diagonal_identity_rejects_nan_fidelities(fz, fx):
+    diag = np.full(16, 1.0 / 16)  # phase-only and bit-only sums are both 1/4
+    assert _require_diagonal_identity(0.25, 0.25, diag) == (0.0, 0.0)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        _require_diagonal_identity(fz, fx, diag)
+
+
+def _full_rank_depolarized_haar_gate():
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(8), 16))
+    return noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate
+
+
+def test_certify_stays_within_its_allocation_budget():
+    # stack-sized arrays: the coefficient transform's product, gather and
+    # coefficients, plus its half-size residual
+    channel, gate = _full_rank_depolarized_haar_gate()
+    report, peak = allocation_peak(lambda: certify(channel, gate))
+    assert report.fz < 1.0
+    assert peak <= 3.6 * channel.kraus_ops.nbytes
+
+
+def test_computational_sweep_reads_the_kraus_stack_in_place():
+    channel, gate = _full_rank_depolarized_haar_gate()
+    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "z"))
+    expected = transfer_probabilities(channel.kraus_ops, gate.u00.elements, np.eye(16))
+    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert peak < 0.1 * channel.kraus_ops.nbytes
 
 
 def test_certify_reports_no_correlation_outside_the_three_qubit_chain():

@@ -3,8 +3,10 @@ import pytest
 
 from gatecert.channel import (
     Channel,
+    _check_error_distribution,
     _chi_diagonal,
     _completeness_residual,
+    _error_coefficients,
     ChiMatrix,
     apply_channel,
     error_probabilities,
@@ -22,6 +24,7 @@ from gatecert.core import (
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from _oracles import (
+    allocation_peak,
     apply_via_chi,
     chi_via_superoperator,
     completeness_residual,
@@ -205,6 +208,28 @@ def test_broken_transform_fails_the_reconstruction_check(monkeypatch):
         kraus_to_chi(random_cptp(2, rank=3, seed=1), GateSpec.identity(2))
 
 
+def test_nan_coefficients_fail_the_reconstruction_check(monkeypatch):
+    import gatecert.channel as channel_module
+
+    signs = channel_module._walsh_signs
+
+    def poisoned_signs(n_qubits):
+        table = signs(n_qubits)
+        table[1, 0] = np.nan
+        return table
+
+    monkeypatch.setattr(channel_module, "_walsh_signs", poisoned_signs)
+    with pytest.raises(ConsistencyError, match="reconstruction"):
+        _error_coefficients(random_cptp(2, rank=3, seed=1), GateSpec.identity(2))
+
+
+def test_error_distribution_check_rejects_nan():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _check_error_distribution(np.full(4, np.nan), complex(np.nan))
+    with pytest.raises(ValueError, match="unit trace"):
+        _check_error_distribution(np.array([1.0, 0.0, 0.0, 0.0]), complex(np.nan))
+
+
 def test_chi_is_invariant_under_kraus_reordering():
     gate = GateSpec.from_matrix(CNOT, name="cnot")
     ch = random_cptp(2, rank=6, seed=11)
@@ -233,6 +258,10 @@ def test_chi_matrix_rejects_bad_entries():
     not_hermitian[0, 1] = 0.5
     with pytest.raises(ValueError):
         ChiMatrix(gate, not_hermitian)
+    nan_entry = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    nan_entry[1, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        ChiMatrix(gate, nan_entry)
 
 
 def test_process_fidelity_flags_imaginary_leak():
@@ -288,3 +317,11 @@ def test_kraus_to_chi_rejects_mismatched_basis():
     basis = build_error_basis(GateSpec.identity(2))
     with pytest.raises(ValueError):
         kraus_to_chi(unitary_channel(CNOT), gate, basis)
+
+
+def test_validate_channel_reads_a_channel_stack_without_copying_it():
+    ch = noisy_gate(GateSpec.identity(4), NoiseSpec("depolarizing_global", 0.2))
+    result, peak = allocation_peak(lambda: validate_channel(ch))
+    assert result == validate_channel(list(ch.kraus_ops))
+    assert result.operator_shapes == ((16, 16),) * 256 and result.passed
+    assert peak < 0.1 * ch.kraus_ops.nbytes

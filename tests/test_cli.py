@@ -1,3 +1,4 @@
+import importlib
 import json
 import time
 
@@ -168,6 +169,18 @@ def test_nan_gate_matrix_is_rejected_as_non_unitary(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not unitary" in err
     assert "basis" not in err
+
+
+def test_nan_transfer_fidelities_exit_as_an_internal_inconsistency(tmp_path, capsys, monkeypatch):
+    certify_module = importlib.import_module("gatecert.certify")
+    exact = certify_module.classical_fidelity
+    monkeypatch.setattr(
+        certify_module, "classical_fidelity", lambda *args: (exact(*args)[0], float("nan"))
+    )
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3")
+    assert code == 2
+    assert doc is None
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,shots,seed", [("shots", "Infinity", "0"), ("seed", "10", "NaN")])

@@ -123,6 +123,20 @@ def test_pauli_stack_matches_the_kron_of_factors_bit_for_bit(n_qubits):
     assert np.array_equal(_pauli_products(picked >> n_qubits, picked % d, n_qubits), stack[picked])
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_scaled_pauli_stack_matches_the_weighted_kron_of_factors_bit_for_bit(n_qubits):
+    rng = np.random.default_rng(40 + n_qubits)
+    d = 2**n_qubits
+    flat = np.arange(d * d)
+    subset = rng.permutation(flat)[: max(2, d * d // 3)]  # unsorted, identity not always present
+    for picked in (flat, subset):
+        weights = np.sqrt(rng.uniform(0.0, 1.0, picked.size))
+        stack = _pauli_products(picked >> n_qubits, picked % d, n_qubits, weights)
+        for k, a in enumerate(picked):
+            expected = pauli_product(a >> n_qubits, a % d, n_qubits) * weights[k]
+            assert np.array_equal(stack[k], expected)
+
+
 def test_error_index_flat_round_trip():
     for flat in range(64):
         idx = ErrorIndex.from_flat(flat, 3)
@@ -221,6 +235,11 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+
+
+def test_density_matrix_rejects_nan_entries():
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_operator_unitary_flag():

@@ -4,7 +4,7 @@ import pytest
 from gatecert.channel import apply_channel, kraus_to_chi, validate_channel
 from gatecert.core import CapacityError, DensityMatrix, GateSpec, complementary_ket, computational_ket
 from gatecert.noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
-from _oracles import haar_unitary, random_density, superoperator
+from _oracles import allocation_peak, haar_unitary, random_density, superoperator
 
 CNOT = np.array(
     [
@@ -171,3 +171,12 @@ def test_depolarizing_commutes_with_the_gate():
     after = superoperator(noise.kraus_ops @ CNOT)
     before = superoperator(CNOT @ noise.kraus_ops)
     assert np.max(np.abs(after - before)) < 1e-10
+
+
+def test_noisy_gate_holds_at_most_two_kraus_stacks_at_once():
+    # the Pauli stack is scaled as it is written, and the noise stack is
+    # released before the returned Channel copies the gate product
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(5), 16))
+    channel, peak = allocation_peak(lambda: noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)))
+    assert channel.rank == 256
+    assert peak <= 2.1 * channel.kraus_ops.nbytes

@@ -1,0 +1,61 @@
+"""Property checks of the certify path against the raw-numpy references in _oracles.
+
+Each example draws a qubit count n <= 4, a Haar gate and a seeded random
+channel of any Kraus rank, so full-rank stacks are covered as well as
+unitary ones.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gatecert.certify import certify, classical_fidelity
+from gatecert.channel import _chi_diagonal, _completeness_residual
+from gatecert.core import GateSpec
+from gatecert.noise import random_cptp
+from _oracles import (
+    completeness_residual,
+    dense_chi,
+    haar_unitary,
+    product_inputs,
+    transfer_probabilities,
+)
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def gates_and_channels(draw):
+    n_qubits = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 4**n_qubits))
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(draw(SEEDS)), 2**n_qubits))
+    return gate, random_cptp(n_qubits, rank, draw(SEEDS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(gates_and_channels(), SEEDS)
+def test_certify_path_matches_the_references(drawn, distortion_seed):
+    gate, channel = drawn
+    n_qubits, kraus, u = gate.n_qubits, channel.kraus_ops, gate.u00.elements
+
+    chi = dense_chi(kraus, u)
+    diag = _chi_diagonal(channel, gate)
+    assert np.max(np.abs(diag - np.diagonal(chi).real)) < 1e-12
+
+    for basis in ("z", "x"):
+        table, _ = classical_fidelity(channel, gate, basis)
+        expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))
+        assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+
+    # a Ginibre distortion makes every entry of sum K^dag K, imaginary parts
+    # included, differ from the identity
+    rng = np.random.default_rng(distortion_seed)
+    distorted = kraus + 0.1 * (rng.standard_normal(kraus.shape) + 1j * rng.standard_normal(kraus.shape))
+    for stack in (kraus, distorted):
+        expected = completeness_residual(stack)
+        assert abs(_completeness_residual(stack) - expected) <= 1e-12 * expected + 1e-13
+
+    report = certify(channel, gate)
+    assert abs(report.f_process_exact - chi[0, 0].real) < 1e-12
+    assert report.fz + report.fx - 1.0 - 1e-12 <= report.f_process_exact
+    assert report.f_process_exact <= min(report.fz, report.fx) + 1e-12
