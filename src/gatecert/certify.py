@@ -33,6 +33,7 @@ from .core import (
     Operator,
     PAULI_X,
     PAULI_Y,
+    _kraus_blocks,
     _require_capacity,
 )
 from .tolerances import TOL
@@ -102,7 +103,7 @@ class TransferTable:
             raise ValueError(f"expected a power-of-two probability vector, got shape {probs.shape}")
         low = float(np.min(probs))
         high = float(np.max(probs))
-        if low < -TOL.probability_slack or high > 1.0 + TOL.probability_slack:
+        if not (low >= -TOL.probability_slack and high <= 1.0 + TOL.probability_slack):
             raise ValueError(f"probabilities outside [0, 1]: min {low!r}, max {high!r}")
         # Values a few ulps outside [0, 1] are rounding artifacts of exact
         # probabilities; store them clipped so downstream means and shot draws
@@ -190,25 +191,30 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     Input n of the chosen product basis succeeds with probability
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
-    columns of one frame matrix, and every K_m @ frame comes from one product
-    of the vertically stacked Kraus operators with the frame.  The
-    computational frame is the identity, so there the propagated columns are
-    the Kraus operators themselves, the ideal images are the columns of u00,
-    and no product is taken.  The mean over the 2**n inputs is the transfer
-    fidelity for that basis.
+    columns of one frame matrix.  The Kraus stack is walked in the blocks of
+    ``core._kraus_blocks``: each block's K_m @ frame comes from one product of
+    its vertically stacked operators with the frame, and its amplitudes
+    |<t_n| K_m |psi_n>| go into one (m x 2**n) array that is squared and summed
+    once at the end.  The computational frame is the identity, so there the
+    propagated columns are the Kraus operators themselves, the ideal images
+    are the columns of u00, and no product is taken.  The mean over the 2**n
+    inputs is the transfer fidelity for that basis.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
             f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
         )
     kraus = channel.kraus_ops
-    if basis == "z":
-        targets, outputs = gate.u00.elements, kraus
-    else:
-        frame = _input_frame(gate.n_qubits, basis)
-        targets = gate.u00.elements @ frame
-        outputs = (kraus.reshape(-1, kraus.shape[-1]) @ frame).reshape(kraus.shape)
-    weights = np.abs(np.einsum("in,min->mn", targets.conj(), outputs))
+    m, d, _ = kraus.shape
+    frame = None if basis == "z" else _input_frame(gate.n_qubits, basis)
+    u = gate.u00.elements
+    targets_conj = (u if frame is None else u @ frame).conj()
+    weights = np.empty((m, d))
+    for block in _kraus_blocks(m, d):
+        outputs = kraus[block]
+        if frame is not None:
+            outputs = (outputs.reshape(-1, d) @ frame).reshape(outputs.shape)
+        np.abs(np.einsum("in,min->mn", targets_conj, outputs), out=weights[block])
     weights **= 2
     table = TransferTable(basis, np.sum(weights, axis=0))
     return table, float(np.mean(table.probabilities))
@@ -319,9 +325,9 @@ def ghz_correlation(rho: DensityMatrix) -> float:
     if rho.n_qubits != 3:
         raise ValueError(f"the correlation is defined for 3 qubits, got {rho.n_qubits}")
     value = complex(np.trace(_CORRELATION_OP @ rho.elements))
-    if abs(value.imag) > TOL.imaginary_leak:
+    if not abs(value.imag) <= TOL.imaginary_leak:
         raise ConsistencyError(f"correlation has imaginary part {value.imag:.3e}")
-    if abs(value.real) > 4.0 + TOL.bound_slack:
+    if not abs(value.real) <= 4.0 + TOL.bound_slack:
         raise ConsistencyError(f"correlation {value.real!r} exceeds the quantum ceiling of 4")
     return float(value.real)
 

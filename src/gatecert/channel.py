@@ -30,6 +30,7 @@ from .core import (
     ErrorBasis,
     ErrorIndex,
     GateSpec,
+    _kraus_blocks,
     _require_capacity,
     _walsh_signs,
 )
@@ -168,20 +169,23 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(channel.n_qubits, evolved @ side_by_side.conj().T)
 
 
-def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
-    """The 4**n x m matrix C^T: row a, column m holds c_{m,a}.
+def _error_coefficients(channel: Channel, gate: GateSpec):
+    """C_b^T, the 4**n x b coefficient matrix of each block of Kraus operators, lazily.
 
-    Runs the Walsh-Hadamard transform of the module docstring.  The inverse
-    transform then rebuilds every gathered G_m from its coefficients; a
-    mismatch raises ConsistencyError because it can only come from a bug in
-    the transform or the bookkeeping, not from user input.
+    Row a, column k of a block holds c_{m,a} for the block's k-th operator m.
+    The qubit counts and the capacity are checked at once; the blocks of
+    ``core._kraus_blocks`` are then transformed one at a time as the returned
+    iterator is read, so every temporary stays within one block.  Each block
+    runs the Walsh-Hadamard transform of the module docstring, and the inverse
+    transform then rebuilds every gathered G_m of the block from its
+    coefficients; a mismatch raises ConsistencyError because it can only come
+    from a bug in the transform or the bookkeeping, not from user input.
 
-    The gather lays G out as one 2**n x (2**n m) matrix, row s and column
-    (x, m), so each transform is a single product with the real sign table,
-    taken over the float64 view (real and imaginary parts side by side).  The
-    1/2**n normalization sits in the sign table, and the reconstruction
-    overwrites the spent u00^dag K buffer, so the only stack-sized arrays are
-    that product, the gather and the coefficients.
+    The gather lays a block's G out as one 2**n x (2**n b) matrix, row s and
+    column (x, m), so each transform is a single product with the real sign
+    table, taken over the float64 view (real and imaginary parts side by
+    side).  The 1/2**n normalization sits in the sign table, and the
+    reconstruction overwrites the spent u00^dag K buffer.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
@@ -190,31 +194,43 @@ def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
     n = gate.n_qubits
     _require_capacity(n)
     d = 1 << n
-    m = channel.rank
     signs = _walsh_signs(n)
+    scaled = signs / d
     rows = np.arange(d)[:, np.newaxis]
-    product = gate.u00.elements.conj().T @ channel.kraus_ops
-    gathered = product.transpose(1, 2, 0)[rows, rows ^ rows.T].reshape(d, d * m)
-    coeffs = ((signs / d) @ gathered.view(np.float64)).view(np.complex128)
-    rebuilt = product.reshape(d, d * m)
-    np.matmul(signs, coeffs.view(np.float64), out=rebuilt.view(np.float64))
-    rebuilt -= gathered
-    residual = float(np.max(np.abs(rebuilt)))
-    if not residual <= TOL.reconstruction:
-        raise ConsistencyError(
-            f"Kraus reconstruction from basis coefficients failed: max residual {residual:.3e}"
-        )
-    return coeffs.reshape(d * d, m)
+    columns = rows ^ rows.T
+    u_dag = gate.u00.elements.conj().T
+    kraus = channel.kraus_ops
+
+    def transform(block: slice) -> np.ndarray:
+        product = u_dag @ kraus[block]
+        count = product.shape[0]
+        gathered = product.transpose(1, 2, 0)[rows, columns].reshape(d, d * count)
+        coeffs = (scaled @ gathered.view(np.float64)).view(np.complex128)
+        rebuilt = product.reshape(d, d * count)
+        np.matmul(signs, coeffs.view(np.float64), out=rebuilt.view(np.float64))
+        rebuilt -= gathered
+        residual = float(np.max(np.abs(rebuilt)))
+        if not residual <= TOL.reconstruction:
+            raise ConsistencyError(
+                f"Kraus reconstruction from basis coefficients failed: max residual {residual:.3e}"
+            )
+        return coeffs.reshape(d * d, count)
+
+    return map(transform, _kraus_blocks(channel.rank, d))
 
 
 def _chi_diagonal(channel: Channel, gate: GateSpec) -> np.ndarray:
     """The error probabilities chi_{a,a} = sum_m |c_{m,a}|^2, without the full process matrix.
 
-    Row a of the float64 view of C^T holds the real and imaginary parts of
-    every c_{m,a}, so each entry is one sum of squares over that row.
+    Row a of the float64 view of a block's C^T holds the real and imaginary
+    parts of that block's c_{m,a}, so each block adds one sum of squares per
+    row.
     """
-    parts = _error_coefficients(channel, gate).view(np.float64)
-    diag = np.einsum("ak,ak->a", parts, parts)
+    blocks = _error_coefficients(channel, gate)
+    diag = np.zeros(1 << (2 * gate.n_qubits))
+    for coeffs_t in blocks:
+        parts = coeffs_t.view(np.float64)
+        diag += np.einsum("ak,ak->a", parts, parts)
     _check_error_distribution(diag, complex(np.sum(diag)))
     return diag
 
@@ -226,21 +242,29 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     the Walsh-Hadamard transform
     c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) (u00^dag K_m)[s, s ^ x] for
     a = (z << n) + x, checks that the inverse transform reconstructs every
-    Kraus operator, and assembles chi = C^T C^*.  The dense basis is never
-    built; a supplied ``basis`` is only checked to belong to ``gate``.
+    Kraus operator, and assembles chi = C^T C^* in one product.  The blocks of
+    C^T are written side by side into one 4**n x m matrix, never larger than
+    chi itself; summing per-block products instead would re-read the whole
+    4**n x 4**n chi once per block.  The dense basis is never built; a
+    supplied ``basis`` is only checked to belong to ``gate``.
     """
     if basis is not None and basis.gate is not gate and not np.array_equal(
         basis.gate.u00.elements, gate.u00.elements
     ):
         raise ValueError("supplied basis was built for a different gate")
-    coeffs_t = _error_coefficients(channel, gate)
+    blocks = _error_coefficients(channel, gate)
+    coeffs_t = np.empty((1 << (2 * gate.n_qubits), channel.rank), dtype=np.complex128)
+    start = 0
+    for block_t in blocks:
+        coeffs_t[:, start : start + block_t.shape[1]] = block_t
+        start += block_t.shape[1]
     return ChiMatrix(gate, coeffs_t @ coeffs_t.conj().T)
 
 
 def process_fidelity(chi: ChiMatrix) -> float:
     """The no-error weight chi_{00,00}: overlap of the channel with the target gate."""
     value = complex(chi.entries[0, 0])
-    if abs(value.imag) > TOL.imaginary_leak:
+    if not abs(value.imag) <= TOL.imaginary_leak:
         raise ConsistencyError(
             f"process fidelity has imaginary part {value.imag:.3e}; the decomposition is broken"
         )
@@ -256,7 +280,7 @@ def error_probabilities(chi: ChiMatrix) -> dict[ErrorIndex, float]:
     n = chi.gate.n_qubits
     diag = np.diagonal(chi.entries).real
     total = float(np.sum(diag))
-    if abs(total - 1.0) > TOL.chi_trace:
+    if not abs(total - 1.0) <= TOL.chi_trace:
         raise ConsistencyError(f"error probabilities sum to {total!r}, expected 1")
     return {ErrorIndex.from_flat(a, n): float(p) for a, p in enumerate(diag)}
 

@@ -103,7 +103,7 @@ class Ket:
                 f"expected {1 << n} amplitudes for {n} qubit(s), got shape {amp.shape}"
             )
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > TOL.state_norm:
+        if not abs(norm_sq - 1.0) <= TOL.state_norm:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amp)
@@ -320,6 +320,23 @@ def _walsh_signs(n_qubits: int) -> np.ndarray:
     is the unnormalized Walsh-Hadamard transform, its own inverse up to 2**n.
     """
     return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
+
+
+# Every stage that walks a Kraus stack takes it in blocks of at most this many
+# bytes.  That is below glibc's default 128 KiB mmap threshold, so the per-block
+# temporaries are recycled by malloc instead of being mapped and page-faulted
+# afresh, and no stage holds more than a block's worth of any stack-sized array.
+_KRAUS_BLOCK_BYTES = 1 << 16
+
+
+def _kraus_blocks(count: int, dim: int) -> list[slice]:
+    """Consecutive slices covering a stack of ``count`` complex dim x dim operators.
+
+    Each slice spans as many whole operators as fit in _KRAUS_BLOCK_BYTES, and
+    at least one; only the last may be shorter.
+    """
+    step = max(1, _KRAUS_BLOCK_BYTES // (np.dtype(np.complex128).itemsize * dim * dim))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None) -> np.ndarray:

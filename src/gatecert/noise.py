@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import GateSpec, _pauli_products, _require_capacity
+from .core import GateSpec, _kraus_blocks, _pauli_products, _require_capacity
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -60,18 +60,17 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
-def _depolarizing_global(p: float, n_qubits: int) -> Channel:
+def _depolarizing_global(p: float, n_qubits: int) -> np.ndarray:
     count = 1 << (2 * n_qubits)
     weights = np.full(count, p / count)
     weights[0] += 1.0 - p
     flat = np.flatnonzero(weights)
-    products = _pauli_products(
+    return _pauli_products(
         flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat])
     )
-    return Channel(n_qubits, products)
 
 
-def _independent_flip(p: float, n_qubits: int, phase: bool) -> Channel:
+def _independent_flip(p: float, n_qubits: int, phase: bool) -> np.ndarray:
     masks, weights = [], []
     for mask in range(1 << n_qubits):
         flipped = mask.bit_count()
@@ -81,7 +80,35 @@ def _independent_flip(p: float, n_qubits: int, phase: bool) -> Channel:
             weights.append(weight)
     zeros = [0] * len(masks)
     phase_masks, amp_masks = (masks, zeros) if phase else (zeros, masks)
-    return Channel(n_qubits, _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights)))
+    return _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights))
+
+
+def _random_isometry(n_qubits: int, rank: int, seed: int) -> np.ndarray:
+    d = 1 << n_qubits
+    if not 1 <= rank <= d * d:
+        raise ValueError(f"rank must lie in [1, {d * d}] for {n_qubits} qubit(s), got {rank}")
+    rng = np.random.default_rng(seed)
+    ginibre = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+    isometry, _ = np.linalg.qr(ginibre)
+    return isometry.reshape(rank, d, d)
+
+
+def _noise_kraus(
+    kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0
+) -> np.ndarray:
+    """A fresh, writable Kraus stack of one noise family, not yet validated as a channel."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    _require_capacity(n_qubits)
+    if kind == "depolarizing_global":
+        return _depolarizing_global(strength, n_qubits)
+    if kind in ("dephasing_per_qubit", "phaseflip_per_qubit"):
+        return _independent_flip(strength, n_qubits, phase=True)
+    if kind == "bitflip_per_qubit":
+        return _independent_flip(strength, n_qubits, phase=False)
+    if kind == "random_cptp":
+        return _random_isometry(n_qubits, rank, seed)
+    raise ValueError(f"unknown noise kind {kind!r}")  # unreachable after NoiseSpec validation
 
 
 def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
@@ -92,41 +119,31 @@ def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
     of 2**n rows yields Kraus operators satisfying sum K^dag K = I up to
     rounding.  The same seed always returns bit-identical operators.
     """
-    d = 1 << n_qubits
-    if not 1 <= rank <= d * d:
-        raise ValueError(f"rank must lie in [1, {d * d}] for {n_qubits} qubit(s), got {rank}")
-    rng = np.random.default_rng(seed)
-    ginibre = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
-    isometry, _ = np.linalg.qr(ginibre)
-    return Channel(n_qubits, isometry.reshape(rank, d, d))
+    return Channel(n_qubits, _noise_kraus("random_cptp", n_qubits, rank=rank, seed=seed))
 
 
 def make_noise(spec: NoiseSpec, n_qubits: int) -> Channel:
     """Instantiate a noise family on ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-    _require_capacity(n_qubits)
-    if spec.kind == "depolarizing_global":
-        return _depolarizing_global(spec.strength, n_qubits)
-    if spec.kind in ("dephasing_per_qubit", "phaseflip_per_qubit"):
-        return _independent_flip(spec.strength, n_qubits, phase=True)
-    if spec.kind == "bitflip_per_qubit":
-        return _independent_flip(spec.strength, n_qubits, phase=False)
-    if spec.kind == "random_cptp":
-        return random_cptp(n_qubits, spec.rank, spec.seed)
-    raise ValueError(f"unknown noise kind {spec.kind!r}")  # unreachable after NoiseSpec validation
+    return Channel(n_qubits, _noise_kraus(spec.kind, n_qubits, spec.strength, spec.rank, spec.seed))
 
 
 def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
     """The target gate followed by noise: Kraus operators N_k @ u00.
 
-    The noise operators, stacked vertically into one (m 2**n x 2**n) matrix,
-    are multiplied by u00 in a single product.  The noise stack is released
-    before the returned Channel takes its defensive copy, so at most two
-    stack-sized arrays are alive at once.
+    The fresh noise stack is multiplied by u00 in place, one block of
+    ``core._kraus_blocks`` at a time, each block's operators stacked vertically
+    into one product.  Only the returned Channel is validated: when
+    sum N^dag N = I and u00 is unitary (which GateSpec checks),
+    sum u00^dag N^dag N u00 = u00^dag I u00 = I, so the completeness check of
+    the result covers the noise stack too.  The Channel's defensive copy is
+    the one other stack-sized array.
     """
-    noise = make_noise(spec, gate.n_qubits).kraus_ops
-    shape = noise.shape
-    stacked = noise.reshape(-1, shape[-1]) @ gate.u00.elements
-    del noise
-    return Channel(gate.n_qubits, stacked.reshape(shape))
+    n = gate.n_qubits
+    stack = _noise_kraus(spec.kind, n, spec.strength, spec.rank, spec.seed)
+    d = stack.shape[-1]
+    flat = stack.reshape(-1, d)
+    u = gate.u00.elements
+    for block in _kraus_blocks(stack.shape[0], d):
+        rows = slice(block.start * d, block.stop * d)
+        flat[rows] = flat[rows] @ u
+    return Channel(n, stack)

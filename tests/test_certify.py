@@ -3,8 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from gatecert.channel import Channel, apply_channel, kraus_to_chi, process_fidelity
+from gatecert.channel import Channel, _chi_diagonal, apply_channel, kraus_to_chi, process_fidelity
 from gatecert.core import (
+    _kraus_blocks,
     CapacityError,
     ConsistencyError,
     DensityMatrix,
@@ -34,7 +35,7 @@ from gatecert.certify import (
     violation_verdict,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
-from _oracles import allocation_peak, haar_unitary, product_inputs, transfer_probabilities
+from _oracles import allocation_peak, dense_chi, haar_unitary, product_inputs, transfer_probabilities
 
 CNOT = np.array(
     [
@@ -187,6 +188,11 @@ def test_transfer_table_validation():
         TransferTable("z", np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         TransferTable("z", np.array([0.5, 0.5, 0.5]))
+
+
+def test_transfer_table_rejects_a_nan_probability():
+    with pytest.raises(ValueError, match="outside"):
+        TransferTable("z", np.array([np.nan, 0.5]))
 
 
 def test_diagonal_identity_residuals_are_tiny():
@@ -346,13 +352,46 @@ def _full_rank_depolarized_haar_gate():
     return noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate
 
 
+# Kraus ranks one below, at and one above the block length (16 operators at
+# n=4, 4 at n=5), then rank 1 and full rank for every n <= 4.
+BLOCK_BOUNDARY_CASES = [(4, 15), (4, 16), (4, 17), (5, 3), (5, 4), (5, 5)] + [
+    (n, rank) for n in range(1, 5) for rank in (1, 4**n)
+]
+
+
+@pytest.mark.parametrize("n_qubits,rank", BLOCK_BOUNDARY_CASES)
+def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, rank):
+    block = _kraus_blocks(rank, 2**n_qubits)[0]
+    assert block.stop == min(rank, {4: 16, 5: 4}.get(n_qubits, rank))
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(40 + rank), 2**n_qubits))
+    channel = random_cptp(n_qubits, rank, seed=n_qubits * 1000 + rank)
+    kraus, u = channel.kraus_ops, gate.u00.elements
+    chi = dense_chi(kraus, u)
+    assert np.max(np.abs(kraus_to_chi(channel, gate).entries - chi)) < 1e-12
+    assert np.max(np.abs(_chi_diagonal(channel, gate) - np.diagonal(chi).real)) < 1e-12
+    for basis in ("z", "x"):
+        table, _ = classical_fidelity(channel, gate, basis)
+        expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))
+        assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+
+
 def test_certify_stays_within_its_allocation_budget():
-    # stack-sized arrays: the coefficient transform's product, gather and
-    # coefficients, plus its half-size residual
+    # the stack is streamed in 64 KiB blocks: one block's product, gather,
+    # coefficients and residual, plus the (m x 2**n) transfer weights
     channel, gate = _full_rank_depolarized_haar_gate()
     report, peak = allocation_peak(lambda: certify(channel, gate))
     assert report.fz < 1.0
-    assert peak <= 3.6 * channel.kraus_ops.nbytes
+    assert peak <= 0.5 * channel.kraus_ops.nbytes
+
+
+def test_complementary_sweep_streams_the_kraus_stack():
+    # each block is propagated through the frame on its own, so no propagated
+    # copy of the whole stack is made
+    channel, gate = _full_rank_depolarized_haar_gate()
+    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
+    expected = transfer_probabilities(channel.kraus_ops, gate.u00.elements, product_inputs(4, "x"))
+    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert peak <= 0.25 * channel.kraus_ops.nbytes
 
 
 def test_computational_sweep_reads_the_kraus_stack_in_place():

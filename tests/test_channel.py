@@ -220,7 +220,25 @@ def test_nan_coefficients_fail_the_reconstruction_check(monkeypatch):
 
     monkeypatch.setattr(channel_module, "_walsh_signs", poisoned_signs)
     with pytest.raises(ConsistencyError, match="reconstruction"):
-        _error_coefficients(random_cptp(2, rank=3, seed=1), GateSpec.identity(2))
+        list(_error_coefficients(random_cptp(2, rank=3, seed=1), GateSpec.identity(2)))
+
+
+@pytest.mark.parametrize("corrupted", [0, 16])
+def test_every_block_runs_the_reconstruction_check(corrupted):
+    # rank 17 at n=4 is one full block of 16 operators and a partial block of
+    # one; a NaN in either block fails that block's reconstruction, and only it
+    channel = random_cptp(4, rank=17, seed=3)
+    gate = GateSpec.identity(4)
+    kraus = channel.kraus_ops.copy()
+    kraus[corrupted, 5, 9] = np.nan
+    object.__setattr__(channel, "kraus_ops", kraus)
+    blocks = _error_coefficients(channel, gate)
+    if corrupted == 16:
+        assert next(blocks).shape == (256, 16)
+    with pytest.raises(ConsistencyError, match="reconstruction"):
+        next(blocks)
+    with pytest.raises(ConsistencyError, match="reconstruction"):
+        _chi_diagonal(channel, gate)
 
 
 def test_error_distribution_check_rejects_nan():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatecert.core import (
+    _kraus_blocks,
     _pauli_products,
     CapacityError,
     DensityMatrix,
@@ -221,6 +222,25 @@ def test_ket_rejects_unnormalized_amplitudes():
         Ket(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Ket(2, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n_qubits,length", [(1, 1024), (3, 64), (4, 16), (5, 4), (6, 1)])
+def test_kraus_blocks_hold_64_kib_and_cover_the_stack(n_qubits, length):
+    d = 1 << n_qubits
+    for count in (1, length - 1, length, length + 1, 4**n_qubits):
+        if count < 1:
+            continue
+        blocks = _kraus_blocks(count, d)
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.stop - b.start == length for b in blocks[:-1])
+        assert 1 <= blocks[-1].stop - blocks[-1].start <= length
+        assert length * 16 * d * d <= 1 << 16
+
+
+def test_ket_rejects_a_nan_amplitude():
+    with pytest.raises(ValueError, match="normalized"):
+        Ket(1, np.array([np.nan, 0.0]))
 
 
 def test_ket_density_is_projector():

@@ -180,3 +180,31 @@ def test_noisy_gate_holds_at_most_two_kraus_stacks_at_once():
     channel, peak = allocation_peak(lambda: noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)))
     assert channel.rank == 256
     assert peak <= 2.1 * channel.kraus_ops.nbytes
+
+
+def test_noisy_gate_validates_only_the_returned_channel(monkeypatch):
+    # sum u^dag N^dag N u = u^dag (sum N^dag N) u, so one completeness check on
+    # the product also catches a noise stack that is not trace preserving
+    import gatecert.channel as channel_module
+    import gatecert.noise as noise_module
+
+    build = noise_module._noise_kraus
+    residual = channel_module._completeness_residual
+    checks = []
+
+    def counted(kraus):
+        checks.append(kraus.shape)
+        return residual(kraus)
+
+    monkeypatch.setattr(channel_module, "_completeness_residual", counted)
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(6), 8))
+    noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    assert checks == [(64, 8, 8)]
+
+    monkeypatch.setattr(noise_module, "_noise_kraus", lambda *args, **kwargs: 1.01 * build(*args, **kwargs))
+    with pytest.raises(ValueError, match="trace preserving"):
+        noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    with pytest.raises(ValueError, match="trace preserving"):
+        make_noise(NoiseSpec("dephasing_per_qubit", 0.2), 3)
+    with pytest.raises(ValueError, match="trace preserving"):
+        random_cptp(3, rank=5, seed=1)
