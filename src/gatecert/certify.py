@@ -191,13 +191,13 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     Input n of the chosen product basis succeeds with probability
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
-    columns of one frame matrix.  The Kraus stack is walked in the blocks of
-    ``core._kraus_blocks``: each block's K_m @ frame comes from one product of
-    its vertically stacked operators with the frame, and its amplitudes
-    |<t_n| K_m |psi_n>| go into one (m x 2**n) array that is squared and summed
-    once at the end.  The computational frame is the identity, so there the
-    propagated columns are the Kraus operators themselves, the ideal images
-    are the columns of u00, and no product is taken.  The mean over the 2**n
+    columns of one frame matrix.  The complementary sweep walks the Kraus stack
+    in the blocks of ``core._kraus_blocks``: each block's K_m @ frame comes
+    from one product of its vertically stacked operators with the frame.  The
+    computational frame is the identity, so there the propagated columns are
+    the Kraus operators themselves, the ideal images are the columns of u00,
+    and no product is taken.  The amplitudes |<t_n| K_m |psi_n>| go into one
+    (m x 2**n) array that is squared and summed once.  The mean over the 2**n
     inputs is the transfer fidelity for that basis.
     """
     if channel.n_qubits != gate.n_qubits:
@@ -210,7 +210,10 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     u = gate.u00.elements
     targets_conj = (u if frame is None else u @ frame).conj()
     weights = np.empty((m, d))
-    for block in _kraus_blocks(m, d):
+    # The computational sweep reads the stack in place and makes no stack-sized
+    # temporary, so it takes the whole stack as one block.
+    blocks = [slice(0, m)] if frame is None else _kraus_blocks(m, d)
+    for block in blocks:
         outputs = kraus[block]
         if frame is not None:
             outputs = (outputs.reshape(-1, d) @ frame).reshape(outputs.shape)
