@@ -116,6 +116,13 @@ class ChiMatrix:
     a = (phase_mask << n_qubits) + amp_mask.  The matrix is Hermitian,
     positive semidefinite and has unit trace; its diagonal is the error
     probability distribution.
+
+    Construction checks the hermiticity, the diagonal and the trace, which
+    also reject NaN and infinite entries.  Positivity is not re-checked by an
+    eigendecomposition: the library builds a ChiMatrix only in
+    ``kraus_to_chi``, as the Gram matrix chi = C^T (C^T)^dag of the
+    coefficient matrix, so for every vector v,
+    v^dag chi v = ||(C^T)^dag v||^2 >= 0.
     """
 
     gate: GateSpec
@@ -133,11 +140,6 @@ class ChiMatrix:
         if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
             raise ValueError("process-matrix diagonal has a non-real entry")
         _check_error_distribution(diag.real, complex(np.trace(mat)))
-        smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if not smallest >= TOL.chi_psd_floor:
-            raise ValueError(
-                f"process matrix is not positive semidefinite: min eigenvalue {smallest:.3e}"
-            )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 

@@ -53,6 +53,8 @@ EXIT_INCONSISTENT = 2
 # Serialized chi entries smaller than this in magnitude are written as zero;
 # in-memory matrices are never truncated.
 CHI_SERIALIZATION_FLOOR = 1e-14
+# The JSON text of one entry written as zero.
+_ZERO_PAIR = "[0.0, 0.0]"
 
 _BUILTIN_GATES = {"ghz-chain": ghz_chain_gate}
 
@@ -136,6 +138,34 @@ def chi_to_pairs(chi: ChiMatrix) -> list:
     Entries below the serialization floor in magnitude are written as zero.
     """
     return matrix_to_pairs(chi.entries, zero_floor=CHI_SERIALIZATION_FLOOR)
+
+
+def _chi_json(entries: np.ndarray) -> str:
+    """``json.dumps(matrix_to_pairs(entries, zero_floor=CHI_SERIALIZATION_FLOOR))``, from the array.
+
+    No nested lists are built.  The text of an all-zero matrix is laid down by
+    string repetition: every entry is the 10-character ``[0.0, 0.0]``, the
+    entries of a row are separated by ", " and the rows by "], [", so entry
+    (r, c) of a q-column matrix starts at offset 2 + r (12 q + 2) + 12 c.
+    Only the entries at or above the floor are formatted, with the float repr
+    that json.dumps uses (signed zeros stay ``-0.0``), and they take the
+    place of their zero text.  The entries must be finite, as a ChiMatrix's
+    are.
+    """
+    matrix = np.asarray(entries, dtype=np.complex128)
+    row_count, q = matrix.shape
+    width = len(_ZERO_PAIR)
+    row = "[" + ", ".join([_ZERO_PAIR] * q) + "]"
+    zeros = "[" + ", ".join([row] * row_count) + "]"
+    kept = np.flatnonzero(~(np.abs(matrix) < CHI_SERIALIZATION_FLOOR))
+    values = matrix.reshape(-1)[kept]
+    rows, columns = np.divmod(kept, q)
+    starts = (2 + rows * (len(row) + 2) + columns * (width + 2)).tolist()
+    gaps = map(slice, [0, *(start + width for start in starts)], [*starts, len(zeros)])
+    pieces = [""] * (2 * len(starts) + 1)
+    pieces[0::2] = map(zeros.__getitem__, gaps)
+    pieces[1::2] = map("[{!r}, {!r}]".format, values.real.tolist(), values.imag.tolist())
+    return "".join(pieces)
 
 
 def _config_int(label: str, value) -> int:
@@ -308,8 +338,12 @@ def report_from_dict(doc: dict) -> FidelityReport:
     )
 
 
-def _write_document(doc: dict, destination: str) -> None:
-    text = json.dumps(doc) + "\n"
+def _write_document(doc: dict, destination: str, chi: ChiMatrix | None = None) -> None:
+    """Write ``doc`` as one line of JSON, with ``chi`` (if given) as its last key, "chi"."""
+    text = json.dumps(doc)
+    if chi is not None:
+        text = f'{text[:-1]}, "chi": {_chi_json(chi.entries)}}}'
+    text += "\n"
     if destination == "-":
         sys.stdout.write(text)
     else:
@@ -324,10 +358,8 @@ def cmd_certify(config: RunConfig) -> int:
         report = sampled_report(channel, config.gate, config.shots, config.seed)
     else:
         report = certify(channel, config.gate)
-    doc = report_to_dict(report, config.gate, config.noise)
-    if config.include_chi:
-        doc["chi"] = chi_to_pairs(kraus_to_chi(channel, config.gate))
-    _write_document(doc, config.output)
+    chi = kraus_to_chi(channel, config.gate) if config.include_chi else None
+    _write_document(report_to_dict(report, config.gate, config.noise), config.output, chi)
     return EXIT_OK
 
 

@@ -21,13 +21,10 @@ class Tolerances:
     psd_floor: float = -1e-9
     unitarity: float = 1e-10
     orthogonality: float = 1e-10
-    completeness: float = 1e-10
-    complementarity: float = 1e-12
     kraus_trace_preserving: float = 1e-9
     chi_hermiticity: float = 1e-9
     chi_diagonal: float = 1e-9
     chi_trace: float = 1e-9
-    chi_psd_floor: float = -1e-8
     reconstruction: float = 1e-9
     imaginary_leak: float = 1e-10
     diagonal_identity: float = 1e-8
@@ -37,7 +34,6 @@ class Tolerances:
     # the two sides of the comparison are independently rounded copies of the
     # same real number; bound_dust absorbs that last-ulp disagreement.
     bound_dust: float = 1e-12
-    commutation: float = 1e-10
     # A report's capability bound must be 2(fz + fx) - 3 of its own fz, fx.
     capability_arithmetic: float = 1e-12
     # A finite-shot mean must be its pooled success count over the shot total.

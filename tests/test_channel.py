@@ -280,6 +280,10 @@ def test_chi_matrix_rejects_bad_entries():
     nan_entry[1, 2] = np.nan
     with pytest.raises(ValueError, match="Hermitian"):
         ChiMatrix(gate, nan_entry)
+    inf_entry = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    inf_entry[1, 2] = np.inf
+    with pytest.raises(ValueError, match="Hermitian"):
+        ChiMatrix(gate, inf_entry)
 
 
 def test_process_fidelity_flags_imaginary_leak():

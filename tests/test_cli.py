@@ -8,6 +8,8 @@ import pytest
 from gatecert.certify import certify, ghz_chain_gate
 from gatecert.channel import Channel, kraus_to_chi
 from gatecert.cli import (
+    CHI_SERIALIZATION_FLOOR,
+    _chi_json,
     chi_to_pairs,
     main,
     matrix_to_pairs,
@@ -15,7 +17,13 @@ from gatecert.cli import (
     report_from_dict,
     report_to_dict,
 )
-from gatecert.noise import NoiseSpec, noisy_gate
+from gatecert.core import GateSpec
+from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
+from gatecert.sampler import sampled_report
+from _oracles import haar_unitary
+
+# below the floor, at the floor, and signed zeros in both parts
+DUSTY = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
 
 
 def run(tmp_path, *argv):
@@ -228,8 +236,6 @@ def test_report_round_trip_is_lossless(tmp_path):
 
 
 def test_sampled_report_round_trip_is_lossless():
-    from gatecert.sampler import sampled_report
-
     gate = ghz_chain_gate(2)
     ch = noisy_gate(gate, NoiseSpec("bitflip_per_qubit", 0.07))
     report = sampled_report(ch, gate, shots_per_input=1500, seed=2)
@@ -244,10 +250,9 @@ def test_matrix_pair_serialization_round_trip():
     assert np.array_equal(pairs_to_matrix(matrix_to_pairs(m)), m)
     # dust under the floor is written as an exact zero, signed zeros and
     # entries at the floor are written as they are
-    dusty = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
-    written = [[str(v) for v in pair] for row in matrix_to_pairs(dusty, zero_floor=1e-14) for pair in row]
+    written = [[str(v) for v in pair] for row in matrix_to_pairs(DUSTY, zero_floor=1e-14) for pair in row]
     assert written == [["0.0", "0.0"], ["-0.0", "0.5"], ["1e-14", "0.0"], ["-0.25", "-0.0"]]
-    written = [[str(v) for v in pair] for row in matrix_to_pairs(dusty) for pair in row]
+    written = [[str(v) for v in pair] for row in matrix_to_pairs(DUSTY) for pair in row]
     assert written == [["3e-15", "-2e-15"], ["-0.0", "0.5"], ["1e-14", "0.0"], ["-0.25", "-0.0"]]
     with pytest.raises(ValueError):
         pairs_to_matrix([[1.0, 2.0], [3.0, 4.0]])
@@ -262,6 +267,53 @@ def test_chi_serialization_truncates_dust(tmp_path):
     # every other entry of the perfect-gate chi is numerical dust at most
     flat = [entry for row in pairs for entry in row]
     assert sum(entry != [0.0, 0.0] for entry in flat) == 1
+
+
+def _pauli_chi(n_qubits):
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(n_qubits), 2**n_qubits))
+    return kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).entries
+
+
+def _dense_chi():
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(3), 8))
+    return kraus_to_chi(random_cptp(3, rank=5, seed=11), gate).entries
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param(lambda: DUSTY, id="dusty"),
+        *(pytest.param(lambda n=n: _pauli_chi(n), id=f"pauli-{n}") for n in range(1, 5)),
+        pytest.param(_dense_chi, id="dense-3"),
+    ],
+)
+def test_chi_json_is_the_text_of_the_reference_pairs(entries):
+    matrix = entries()
+    assert _chi_json(matrix) == json.dumps(matrix_to_pairs(matrix, zero_floor=CHI_SERIALIZATION_FLOOR))
+
+
+@pytest.mark.parametrize("command", ["certify", "sample"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_include_chi_documents_match_the_reference_byte_for_byte(tmp_path, capsys, command, to_file):
+    config = {
+        "gate": {"builtin": "ghz-chain", "qubits": 2},
+        "noise": {"kind": "random_cptp", "rank": 3, "seed": 5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    argv = [command, "--config", str(path), "--include-chi", "--output", str(out) if to_file else "-"]
+    if command == "sample":
+        argv += ["--shots", "400", "--seed", "9"]
+    assert main(argv) == 0
+    written = out.read_text() if to_file else capsys.readouterr().out
+
+    gate, noise = ghz_chain_gate(2), NoiseSpec("random_cptp", rank=3, seed=5)
+    channel = noisy_gate(gate, noise)
+    report = certify(channel, gate) if command == "certify" else sampled_report(channel, gate, 400, 9)
+    doc = report_to_dict(report, gate, noise)
+    doc["chi"] = chi_to_pairs(kraus_to_chi(channel, gate))
+    assert written == json.dumps(doc) + "\n"
 
 
 def test_include_chi_flag_embeds_the_matrix(tmp_path):

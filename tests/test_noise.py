@@ -174,8 +174,8 @@ def test_depolarizing_commutes_with_the_gate():
 
 
 def test_noisy_gate_holds_at_most_two_kraus_stacks_at_once():
-    # the Pauli stack is scaled as it is written, and the noise stack is
-    # released before the returned Channel copies the gate product
+    # the Pauli stack is scaled as it is written, noisy_gate multiplies it by
+    # the gate in place, and the returned Channel copies that same array
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(5), 16))
     channel, peak = allocation_peak(lambda: noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)))
     assert channel.rank == 256

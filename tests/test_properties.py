@@ -6,13 +6,14 @@ unitary ones.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecert.certify import certify, classical_fidelity
-from gatecert.channel import _chi_diagonal, _completeness_residual
+from gatecert.channel import _chi_diagonal, _completeness_residual, kraus_to_chi
 from gatecert.core import GateSpec
-from gatecert.noise import random_cptp
+from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from _oracles import (
     completeness_residual,
     dense_chi,
@@ -59,3 +60,19 @@ def test_certify_path_matches_the_references(drawn, distortion_seed):
     assert abs(report.f_process_exact - chi[0, 0].real) < 1e-12
     assert report.fz + report.fx - 1.0 - 1e-12 <= report.f_process_exact
     assert report.f_process_exact <= min(report.fz, report.fx) + 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
+    # ChiMatrix runs no eigendecomposition: chi = C^T (C^T)^dag gives
+    # v^dag chi v = ||(C^T)^dag v||^2 >= 0, which this checks numerically
+    rng = np.random.default_rng(40 + n_qubits)
+    gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
+    channels = [random_cptp(n_qubits, rank, seed=rank) for rank in (1, 3, 8) if rank <= 4**n_qubits]
+    channels += [
+        noisy_gate(gate, NoiseSpec(kind, 0.2))
+        for kind in ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit")
+    ]
+    for channel in channels:
+        entries = kraus_to_chi(channel, gate).entries
+        assert np.min(np.linalg.eigvalsh(entries)) >= -1e-12
