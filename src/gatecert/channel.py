@@ -117,11 +117,11 @@ class ChiMatrix:
     positive semidefinite and has unit trace; its diagonal is the error
     probability distribution.
 
-    Construction checks the hermiticity, the diagonal and the trace, which
-    also reject NaN and infinite entries.  Positivity is not re-checked by an
-    eigendecomposition: the library builds a ChiMatrix only in
-    ``kraus_to_chi``, as the Gram matrix chi = C^T (C^T)^dag of the
-    coefficient matrix, so for every vector v,
+    Construction checks the hermiticity, one block of rows at a time, the
+    diagonal and the trace, which also reject NaN and infinite entries.
+    Positivity is not re-checked by an eigendecomposition: the library builds
+    a ChiMatrix only in ``kraus_to_chi``, as the Gram matrix
+    chi = C^T (C^T)^dag of the coefficient matrix, so for every vector v,
     v^dag chi v = ||(C^T)^dag v||^2 >= 0.
     """
 
@@ -133,9 +133,12 @@ class ChiMatrix:
         q = 1 << (2 * self.gate.n_qubits)
         if mat.shape != (q, q):
             raise ValueError(f"expected a {q} x {q} process matrix, got shape {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm <= TOL.chi_hermiticity:
-            raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
+        # A row of chi holds 4**n = (2**n)**2 entries, as many as one Kraus
+        # operator, so the Kraus blocks bound each row block to 64 KiB.
+        for rows in _kraus_blocks(q, 1 << self.gate.n_qubits):
+            herm = float(np.max(np.abs(mat[rows] - mat[:, rows].T.conj())))
+            if not herm <= TOL.chi_hermiticity:
+                raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
         diag = np.diagonal(mat)
         if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
             raise ValueError("process-matrix diagonal has a non-real entry")

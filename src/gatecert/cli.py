@@ -88,6 +88,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the three subcommands; ``main`` reuses one built at import."""
     parser = _Parser(prog="gatecert", description="Certify noisy gates from two classical fidelities.")
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
@@ -140,32 +141,37 @@ def chi_to_pairs(chi: ChiMatrix) -> list:
     return matrix_to_pairs(chi.entries, zero_floor=CHI_SERIALIZATION_FLOOR)
 
 
-def _chi_json(entries: np.ndarray) -> str:
-    """``json.dumps(matrix_to_pairs(entries, zero_floor=CHI_SERIALIZATION_FLOOR))``, from the array.
+def _chi_json(entries: np.ndarray):
+    """The text of ``json.dumps(matrix_to_pairs(entries, zero_floor=CHI_SERIALIZATION_FLOOR))``, in pieces.
 
-    No nested lists are built.  The text of an all-zero matrix is laid down by
-    string repetition: every entry is the 10-character ``[0.0, 0.0]``, the
-    entries of a row are separated by ", " and the rows by "], [", so entry
-    (r, c) of a q-column matrix starts at offset 2 + r (12 q + 2) + 12 c.
-    Only the entries at or above the floor are formatted, with the float repr
-    that json.dumps uses (signed zeros stay ``-0.0``), and they take the
-    place of their zero text.  The entries must be finite, as a ChiMatrix's
-    are.
+    No nested lists are built, and the pieces are yielded row by row.  A row
+    whose entries all lie below the floor is one shared string: its entries
+    are the 10-character ``[0.0, 0.0]`` separated by ", ", so entry c of a
+    q-column row starts at offset 1 + 12 c.  Only the rows that keep an entry
+    are built, by formatting their kept entries with the float repr that
+    json.dumps uses (signed zeros stay ``-0.0``) and putting them in the place
+    of their zero text.  The entries must be finite, as a ChiMatrix's are.
     """
     matrix = np.asarray(entries, dtype=np.complex128)
-    row_count, q = matrix.shape
     width = len(_ZERO_PAIR)
-    row = "[" + ", ".join([_ZERO_PAIR] * q) + "]"
-    zeros = "[" + ", ".join([row] * row_count) + "]"
-    kept = np.flatnonzero(~(np.abs(matrix) < CHI_SERIALIZATION_FLOOR))
-    values = matrix.reshape(-1)[kept]
-    rows, columns = np.divmod(kept, q)
-    starts = (2 + rows * (len(row) + 2) + columns * (width + 2)).tolist()
-    gaps = map(slice, [0, *(start + width for start in starts)], [*starts, len(zeros)])
-    pieces = [""] * (2 * len(starts) + 1)
-    pieces[0::2] = map(zeros.__getitem__, gaps)
-    pieces[1::2] = map("[{!r}, {!r}]".format, values.real.tolist(), values.imag.tolist())
-    return "".join(pieces)
+    zero_row = "[" + ", ".join([_ZERO_PAIR] * matrix.shape[1]) + "]"
+    kept_rows, kept_columns = np.nonzero(~(np.abs(matrix) < CHI_SERIALIZATION_FLOOR))
+    values = matrix[kept_rows, kept_columns]
+    starts = 1 + kept_columns * (width + 2)
+    bounds = np.searchsorted(kept_rows, np.arange(len(matrix) + 1)).tolist()
+    for r, (low, high) in enumerate(zip(bounds, bounds[1:])):
+        yield ", " if r else "["
+        if low == high:
+            yield zero_row
+            continue
+        row_starts = starts[low:high].tolist()
+        row_values = values[low:high]
+        gaps = map(slice, [0, *(start + width for start in row_starts)], [*row_starts, len(zero_row)])
+        pieces = [""] * (2 * len(row_starts) + 1)
+        pieces[0::2] = map(zero_row.__getitem__, gaps)
+        pieces[1::2] = map("[{!r}, {!r}]".format, row_values.real.tolist(), row_values.imag.tolist())
+        yield "".join(pieces)
+    yield "]"
 
 
 def _config_int(label: str, value) -> int:
@@ -339,16 +345,21 @@ def report_from_dict(doc: dict) -> FidelityReport:
 
 
 def _write_document(doc: dict, destination: str, chi: ChiMatrix | None = None) -> None:
-    """Write ``doc`` as one line of JSON, with ``chi`` (if given) as its last key, "chi"."""
+    """Write ``doc`` as one line of JSON, with ``chi`` (if given) as its last key, "chi".
+
+    Every piece of the text is made before the destination is opened, so a
+    failure writes no file.
+    """
     text = json.dumps(doc)
-    if chi is not None:
-        text = f'{text[:-1]}, "chi": {_chi_json(chi.entries)}}}'
-    text += "\n"
+    if chi is None:
+        pieces = [text, "\n"]
+    else:
+        pieces = [text[:-1], ', "chi": ', *_chi_json(chi.entries), "}\n"]
     if destination == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -374,8 +385,13 @@ def cmd_basis_check(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_INVALID_INPUT
 
 
+# One parser per process: parse_args keeps no state between calls, and building
+# the parser costs more than a small certify.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = run_config_from_args(args)
         if args.command == "basis-check":

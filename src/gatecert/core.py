@@ -318,8 +318,16 @@ def _walsh_signs(n_qubits: int) -> np.ndarray:
 
     Row z holds the diagonal of the phase product Z**z; as a matrix the table
     is the unnormalized Walsh-Hadamard transform, its own inverse up to 2**n.
+    The parity of z & r is folded onto bit 0 by XOR: after the shifts
+    1, 2, ..., 2**k, bit 0 holds the parity of the low 2**(k+1) bits.
     """
-    return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
+    index = np.arange(1 << n_qubits)
+    parity = index[:, np.newaxis] & index
+    shift = 1
+    while shift < n_qubits:
+        parity ^= parity >> shift
+        shift <<= 1
+    return 1.0 - 2.0 * (parity & 1)
 
 
 # Every stage that walks a Kraus stack takes it in blocks of at most this many

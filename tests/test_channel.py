@@ -19,6 +19,7 @@ from gatecert.core import (
     DensityMatrix,
     ErrorIndex,
     GateSpec,
+    _kraus_blocks,
     build_error_basis,
     computational_ket,
 )
@@ -284,6 +285,37 @@ def test_chi_matrix_rejects_bad_entries():
     inf_entry[1, 2] = np.inf
     with pytest.raises(ValueError, match="Hermitian"):
         ChiMatrix(gate, inf_entry)
+
+
+@pytest.mark.parametrize(
+    "row,column,value",
+    [
+        pytest.param(250, 245, 1e-3, id="asymmetric-last-block"),
+        pytest.param(251, 241, np.nan, id="nan-last-block"),
+        pytest.param(244, 250, np.inf, id="inf-last-block"),
+        pytest.param(239, 240, 1e-3, id="asymmetric-across-a-boundary"),
+    ],
+)
+def test_hermiticity_check_reaches_every_row_block(row, column, value):
+    # a 256 x 256 chi is checked in blocks of 16 rows; the first three entries
+    # and their mirror images both lie in the last block, so only it sees them
+    gate = GateSpec.identity(4)
+    assert _kraus_blocks(256, 16)[-2:] == [slice(224, 240), slice(240, 256)]
+    entries = np.zeros((256, 256), dtype=complex)
+    entries[0, 0] = 1.0
+    ChiMatrix(gate, entries)
+    entries[row, column] = value
+    with pytest.raises(ValueError, match="Hermitian"):
+        ChiMatrix(gate, entries)
+
+
+def test_chi_matrix_check_holds_no_full_size_temporary():
+    gate = GateSpec.identity(4)
+    fresh = np.array(kraus_to_chi(random_cptp(4, rank=3, seed=2), gate).entries)
+    chi, peak = allocation_peak(lambda: ChiMatrix(gate, fresh))
+    assert np.array_equal(chi.entries, fresh)
+    # the defensive copy and one row block's temporaries
+    assert peak <= 1.3 * fresh.nbytes
 
 
 def test_process_fidelity_flags_imaginary_leak():

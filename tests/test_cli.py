@@ -10,6 +10,8 @@ from gatecert.channel import Channel, kraus_to_chi
 from gatecert.cli import (
     CHI_SERIALIZATION_FLOOR,
     _chi_json,
+    _write_document,
+    build_parser,
     chi_to_pairs,
     main,
     matrix_to_pairs,
@@ -20,10 +22,16 @@ from gatecert.cli import (
 from gatecert.core import GateSpec
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
-from _oracles import haar_unitary
+from _oracles import allocation_peak, haar_unitary
 
 # below the floor, at the floor, and signed zeros in both parts
 DUSTY = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
+# kept entries in the first and last columns, a row kept throughout, and zero rows
+EDGES = np.zeros((5, 5), dtype=complex)
+EDGES[0, 0] = 0.5
+EDGES[0, 4] = complex(1e-3, -2e-3)
+EDGES[2, 4] = -0.125j
+EDGES[3] = [0.1, -0.2j, complex(3e-14, 4.5), complex(-0.0, 1e-14), 7.0]
 
 
 def run(tmp_path, *argv):
@@ -285,11 +293,46 @@ def _dense_chi():
         pytest.param(lambda: DUSTY, id="dusty"),
         *(pytest.param(lambda n=n: _pauli_chi(n), id=f"pauli-{n}") for n in range(1, 5)),
         pytest.param(_dense_chi, id="dense-3"),
+        pytest.param(lambda: EDGES, id="edges"),
     ],
 )
 def test_chi_json_is_the_text_of_the_reference_pairs(entries):
     matrix = entries()
-    assert _chi_json(matrix) == json.dumps(matrix_to_pairs(matrix, zero_floor=CHI_SERIALIZATION_FLOOR))
+    text = "".join(_chi_json(matrix))
+    assert text == json.dumps(matrix_to_pairs(matrix, zero_floor=CHI_SERIALIZATION_FLOOR))
+
+
+def test_chi_json_shares_the_text_of_zero_rows():
+    rows = [piece for piece in _chi_json(EDGES) if piece.startswith("[[")]
+    assert len(rows) == 5
+    assert rows[1] is rows[4]
+
+
+def test_writing_a_chi_document_holds_less_than_the_document(tmp_path):
+    gate, noise = ghz_chain_gate(4), NoiseSpec("dephasing_per_qubit", 0.1)
+    channel = noisy_gate(gate, noise)
+    chi = kraus_to_chi(channel, gate)
+    doc = report_to_dict(certify(channel, gate), gate, noise)
+    out = tmp_path / "report.json"
+    _, peak = allocation_peak(lambda: _write_document(doc, str(out), chi))
+    written = out.read_bytes()
+    doc["chi"] = chi_to_pairs(chi)
+    assert written == (json.dumps(doc) + "\n").encode()
+    assert peak < 1.0 * len(written)
+
+
+def test_a_failing_chi_writer_creates_no_file(tmp_path, capsys, monkeypatch):
+    cli_module = importlib.import_module("gatecert.cli")
+
+    def broken(entries):
+        yield "["
+        raise ValueError("chi text failed")
+
+    monkeypatch.setattr(cli_module, "_chi_json", broken)
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2", "--include-chi")
+    assert code == 1
+    assert doc is None
+    assert "chi text failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["certify", "sample"])
@@ -329,3 +372,29 @@ def test_flag_misuse_exits_with_invalid_input_code():
     with pytest.raises(SystemExit) as info:
         main(["certify", "--qubits", "not-a-number", "--gate", "ghz-chain"])
     assert info.value.code == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    _, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2", "--include-chi")
+    assert "chi" in doc
+    _, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2")
+    assert "chi" not in doc
+
+    args = ("--gate", "ghz-chain", "--qubits", "3", "--noise", "depolarizing_global:0.2")
+    _, doc = run(tmp_path, "sample", *args, "--shots", "300", "--seed", "4")
+    assert doc["provenance"]["fz"] == "sampled"
+    code, doc = run(tmp_path, "certify", *args)
+    assert code == 0
+    assert doc["provenance"]["fz"] == "exact"
+    assert "counts" not in doc and "fz_std_error" not in doc
+    assert doc["fz"] == pytest.approx(0.825, abs=1e-9)
+
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--qubits", "not-a-number", "--gate", "ghz-chain"])
+    assert info.value.code == 1
+    assert main(["certify", "--gate", "ghz-chain", "--qubits", "2", "--output", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["gate"] == {"name": "ghz-chain", "qubits": 2}

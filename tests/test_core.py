@@ -1,9 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from gatecert.core import (
     _kraus_blocks,
     _pauli_products,
+    _walsh_signs,
     CapacityError,
     DensityMatrix,
     ErrorBasis,
@@ -236,6 +239,16 @@ def test_kraus_blocks_hold_64_kib_and_cover_the_stack(n_qubits, length):
         assert all(b.stop - b.start == length for b in blocks[:-1])
         assert 1 <= blocks[-1].stop - blocks[-1].start <= length
         assert length * 16 * d * d <= 1 << 16
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_walsh_signs_are_the_kron_table_bit_for_bit(n_qubits):
+    table = _walsh_signs(n_qubits)
+    kron = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
+    assert table.dtype == np.float64 and table.shape == kron.shape
+    assert table.tobytes() == kron.tobytes()
+    # callers may scale or poison a fresh copy
+    assert table.flags.writeable and table is not _walsh_signs(n_qubits)
 
 
 def test_ket_rejects_a_nan_amplitude():
