@@ -74,7 +74,7 @@ def main() -> None:
     # Build a noisy channel by hand: with probability 0.3 a Z error hits the
     # control qubit (qubit 0, the left tensor factor) after the gate fires.
     p = 0.3
-    u = gate.u00.elements
+    u = gate.u00
     z_on_control = np.kron(PAULI_Z, np.eye(2))
     kraus = np.stack([np.sqrt(1.0 - p) * u, np.sqrt(p) * z_on_control @ u])
     channel = Channel(2, kraus)

@@ -9,13 +9,11 @@ chain) a certified violation of the local-realistic correlation ceiling.
 
 from .channel import (
     Channel,
-    ChannelValidation,
     ChiMatrix,
     apply_channel,
     error_probabilities,
     kraus_to_chi,
     process_fidelity,
-    validate_channel,
 )
 from .certify import (
     BASES,
@@ -34,7 +32,6 @@ from .certify import (
     ghz_floor,
     ghz_summary,
     ideal_outputs,
-    verify_diagonal_identity,
     violation_verdict,
 )
 from .core import (
@@ -45,12 +42,9 @@ from .core import (
     ErrorIndex,
     GateSpec,
     Ket,
-    Operator,
     build_error_basis,
     complementary_ket,
     computational_ket,
-    error_operator,
-    single_qubit_error_factor,
 )
 from .noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
 from .sampler import FidelityEstimate, ShotPlan, basis_subseed, sample_transfer, sampled_report
@@ -64,7 +58,6 @@ __all__ = [
     "CLASSICAL_CORRELATION_CEILING",
     "CapacityError",
     "Channel",
-    "ChannelValidation",
     "ChiMatrix",
     "ConsistencyError",
     "DensityMatrix",
@@ -77,7 +70,6 @@ __all__ = [
     "MAX_QUBITS",
     "NOISE_KINDS",
     "NoiseSpec",
-    "Operator",
     "ShotPlan",
     "TOL",
     "Tolerances",
@@ -92,7 +84,6 @@ __all__ = [
     "complementary_ket",
     "computational_ket",
     "entangling_input",
-    "error_operator",
     "error_probabilities",
     "fidelity_bounds",
     "ghz_chain_gate",
@@ -107,8 +98,5 @@ __all__ = [
     "random_cptp",
     "sample_transfer",
     "sampled_report",
-    "single_qubit_error_factor",
-    "validate_channel",
-    "verify_diagonal_identity",
     "violation_verdict",
 ]

@@ -30,7 +30,6 @@ from .core import (
     DensityMatrix,
     GateSpec,
     Ket,
-    Operator,
     PAULI_X,
     PAULI_Y,
     _kraus_blocks,
@@ -47,7 +46,6 @@ __all__ = [
     "FidelityReport",
     "ideal_outputs",
     "classical_fidelity",
-    "verify_diagonal_identity",
     "fidelity_bounds",
     "ghz_chain_gate",
     "entangling_input",
@@ -181,7 +179,7 @@ def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
 
 def ideal_outputs(gate: GateSpec, basis: str) -> list[Ket]:
     """Ideal images |t_n> = u00 |psi_n> of the chosen product basis, in index order."""
-    targets = gate.u00.elements @ _input_frame(gate.n_qubits, basis)
+    targets = gate.u00 @ _input_frame(gate.n_qubits, basis)
     return [Ket(gate.n_qubits, column) for column in targets.T]
 
 
@@ -207,7 +205,7 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     kraus = channel.kraus_ops
     m, d, _ = kraus.shape
     frame = None if basis == "z" else _input_frame(gate.n_qubits, basis)
-    u = gate.u00.elements
+    u = gate.u00
     targets_conj = (u if frame is None else u @ frame).conj()
     weights = np.empty((m, d))
     # The computational sweep reads the stack in place and makes no stack-sized
@@ -234,20 +232,6 @@ def _require_diagonal_identity(fz: float, fx: float, diag: np.ndarray) -> tuple[
             f"|fz - sum| = {residual_z:.3e}, |fx - sum| = {residual_x:.3e}"
         )
     return residual_z, residual_x
-
-
-def verify_diagonal_identity(channel: Channel, gate: GateSpec) -> tuple[float, float]:
-    """Cross-check the two independent fidelity computations; return the residuals.
-
-    The transfer fidelities are simulated by state propagation, then compared with
-    the phase-only and bit-only diagonal sums of the process matrix.  The two
-    code paths share no intermediate results, so agreement is a strong check
-    on both; disagreement raises ConsistencyError.
-    """
-    diag = _chi_diagonal(channel, gate)
-    _, fz = classical_fidelity(channel, gate, "z")
-    _, fx = classical_fidelity(channel, gate, "x")
-    return _require_diagonal_identity(fz, fx, diag)
 
 
 def _check_unit_interval(**named: float) -> None:
@@ -285,7 +269,7 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
     if n_qubits < 2:
         raise ValueError(f"the entangling chain needs at least 2 qubits, got {n_qubits!r}")
     _require_capacity(n_qubits)
-    return GateSpec(n_qubits, Operator(n_qubits, _ghz_chain_unitary(n_qubits)), name="ghz-chain")
+    return GateSpec(n_qubits, _ghz_chain_unitary(n_qubits), name="ghz-chain")
 
 
 def entangling_input(n_qubits: int) -> Ket:
@@ -349,7 +333,7 @@ _GHZ_CHAIN_3.setflags(write=False)
 def _is_ghz_chain_3(gate: GateSpec) -> bool:
     if gate.n_qubits != 3:
         return False
-    return bool(np.allclose(gate.u00.elements, _GHZ_CHAIN_3, rtol=0.0, atol=TOL.gate_match))
+    return bool(np.allclose(gate.u00, _GHZ_CHAIN_3, rtol=0.0, atol=TOL.gate_match))
 
 
 def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:

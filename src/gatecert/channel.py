@@ -30,6 +30,7 @@ from .core import (
     ErrorBasis,
     ErrorIndex,
     GateSpec,
+    _check_qubit_count,
     _kraus_blocks,
     _require_capacity,
     _walsh_signs,
@@ -39,12 +40,10 @@ from .tolerances import TOL
 __all__ = [
     "Channel",
     "ChiMatrix",
-    "ChannelValidation",
     "apply_channel",
     "kraus_to_chi",
     "process_fidelity",
     "error_probabilities",
-    "validate_channel",
 ]
 
 
@@ -73,9 +72,7 @@ class Channel:
     kraus_ops: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        n = int(self.n_qubits)
+        n = _check_qubit_count(self.n_qubits)
         kraus = np.array(self.kraus_ops, dtype=np.complex128)
         d = 1 << n
         if kraus.ndim != 3 or kraus.shape[1:] != (d, d):
@@ -147,15 +144,6 @@ class ChiMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-@dataclass(frozen=True)
-class ChannelValidation:
-    """Diagnostic summary for a would-be Kraus decomposition."""
-
-    completeness_residual: float
-    operator_shapes: tuple
-    passed: bool
-
-
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     """E(rho) = sum_m K_m rho K_m^dag.
 
@@ -203,7 +191,7 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     scaled = signs / d
     rows = np.arange(d)[:, np.newaxis]
     columns = rows ^ rows.T
-    u_dag = gate.u00.elements.conj().T
+    u_dag = gate.u00.conj().T
     kraus = channel.kraus_ops
 
     def transform(block: slice) -> np.ndarray:
@@ -254,7 +242,7 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     supplied ``basis`` is only checked to belong to ``gate``.
     """
     if basis is not None and basis.gate is not gate and not np.array_equal(
-        basis.gate.u00.elements, gate.u00.elements
+        basis.gate.u00, gate.u00
     ):
         raise ValueError("supplied basis was built for a different gate")
     blocks = _error_coefficients(channel, gate)
@@ -289,25 +277,3 @@ def error_probabilities(chi: ChiMatrix) -> dict[ErrorIndex, float]:
         raise ConsistencyError(f"error probabilities sum to {total!r}, expected 1")
     return {ErrorIndex.from_flat(a, n): float(p) for a, p in enumerate(diag)}
 
-
-def validate_channel(kraus_ops, tol: float = TOL.kraus_trace_preserving) -> ChannelValidation:
-    """Check a raw Kraus list for trace preservation without constructing a Channel.
-
-    Accepts a Channel, an operator stack, or a plain list of matrices, so it
-    can diagnose inputs the Channel constructor would reject outright.
-    """
-    if isinstance(kraus_ops, Channel):
-        stack = kraus_ops.kraus_ops
-    else:
-        ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
-        shapes = tuple(op.shape for op in ops)
-        well_formed = (
-            len(ops) > 0
-            and all(op.ndim == 2 and op.shape[0] == op.shape[1] for op in ops)
-            and len({op.shape for op in ops}) == 1
-        )
-        if not well_formed:
-            return ChannelValidation(float("inf"), shapes, False)
-        stack = np.stack(ops)
-    residual = _completeness_residual(stack)
-    return ChannelValidation(residual, (stack.shape[1:],) * stack.shape[0], residual <= tol)

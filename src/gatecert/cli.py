@@ -183,36 +183,29 @@ def _config_int(label: str, value) -> int:
 
 
 def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:
-    if flag_gate is not None:
-        builder = _BUILTIN_GATES.get(flag_gate)
-        if builder is None:
-            raise ValueError(
-                f"unknown builtin gate {flag_gate!r}; available: {sorted(_BUILTIN_GATES)}"
-            )
-        qubits = flag_qubits
-        if qubits is None and isinstance(entry, dict):
-            qubits = entry.get("qubits")
-        if qubits is None:
-            raise ValueError("a builtin gate needs --qubits")
-        return builder(_config_int("qubits", qubits))
-    if entry is None:
-        raise ValueError("no gate specified; pass --gate or a config with a gate entry")
-    if not isinstance(entry, dict):
-        raise ValueError(f"config gate entry must be an object, got {type(entry).__name__}")
-    if "builtin" in entry:
-        builder = _BUILTIN_GATES.get(entry["builtin"])
-        if builder is None:
-            raise ValueError(f"unknown builtin gate {entry['builtin']!r}")
-        qubits = flag_qubits if flag_qubits is not None else entry.get("qubits")
-        if qubits is None:
-            raise ValueError("a builtin gate needs a qubit count")
-        return builder(_config_int("qubits", qubits))
-    if "matrix" in entry:
-        matrix = pairs_to_matrix(entry["matrix"])
-        # size first: the unitarity check in GateSpec costs O(8**n)
-        _require_capacity(matrix.shape[0].bit_length() - 1)
-        return GateSpec.from_matrix(matrix, name=entry.get("name"))
-    raise ValueError("config gate entry must contain 'builtin' or 'matrix'")
+    name = flag_gate
+    if name is None:
+        if entry is None:
+            raise ValueError("no gate specified; pass --gate or a config with a gate entry")
+        if not isinstance(entry, dict):
+            raise ValueError(f"config gate entry must be an object, got {type(entry).__name__}")
+        if "builtin" not in entry:
+            if "matrix" not in entry:
+                raise ValueError("config gate entry must contain 'builtin' or 'matrix'")
+            matrix = pairs_to_matrix(entry["matrix"])
+            # size first: the unitarity check in GateSpec costs O(8**n)
+            _require_capacity(matrix.shape[0].bit_length() - 1)
+            return GateSpec.from_matrix(matrix, name=entry.get("name"))
+        name = entry["builtin"]
+    builder = _BUILTIN_GATES.get(name)
+    if builder is None:
+        raise ValueError(f"unknown builtin gate {name!r}; available: {sorted(_BUILTIN_GATES)}")
+    qubits = flag_qubits
+    if qubits is None and isinstance(entry, dict):
+        qubits = entry.get("qubits")
+    if qubits is None:
+        raise ValueError("a builtin gate needs --qubits or a config qubit count")
+    return builder(_config_int("qubits", qubits))
 
 
 def _noise_from_flag(text: str) -> NoiseSpec:
@@ -266,13 +259,13 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
         shots=None if shots is None else _config_int("shots", shots),
         seed=_config_int("seed", seed),
         output=output,
-        include_chi=bool(getattr(args, "include_chi", False)),
+        include_chi=args.include_chi,
     )
 
 
 def _channel_for(config: RunConfig) -> Channel:
     if config.noise is None:
-        return Channel(config.gate.n_qubits, config.gate.u00.elements[np.newaxis])
+        return Channel(config.gate.n_qubits, config.gate.u00[np.newaxis])
     return noisy_gate(config.gate, config.noise)
 
 

@@ -1,4 +1,4 @@
-"""Immutable state and operator types, and the orthogonal error-operator basis.
+"""Immutable state and gate types, and the orthogonal error-operator basis.
 
 Conventions, fixed once for the whole package:
 
@@ -30,14 +30,11 @@ __all__ = [
     "ConsistencyError",
     "Ket",
     "DensityMatrix",
-    "Operator",
     "GateSpec",
     "ErrorIndex",
     "ErrorBasis",
     "computational_ket",
     "complementary_ket",
-    "single_qubit_error_factor",
-    "error_operator",
     "build_error_basis",
 ]
 
@@ -50,10 +47,8 @@ class ConsistencyError(RuntimeError):
     """Two internal code paths disagree; this signals a bug, not bad input."""
 
 
-PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _readonly(values, dtype=np.complex128) -> np.ndarray:
@@ -78,11 +73,11 @@ def _unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
 
 
-def _require_capacity(n_qubits: int, max_qubits: int = MAX_QUBITS) -> None:
-    """Raise CapacityError for more than ``max_qubits`` qubits, before anything is allocated."""
-    if n_qubits > max_qubits:
+def _require_capacity(n_qubits: int) -> None:
+    """Raise CapacityError for more than MAX_QUBITS qubits, before anything is allocated."""
+    if n_qubits > MAX_QUBITS:
         raise CapacityError(
-            f"{n_qubits} qubit(s) exceeds the supported maximum of {max_qubits}; "
+            f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
             f"the full process matrix and the dense error basis would each hold "
             f"{1 << (4 * n_qubits)} complex entries"
         )
@@ -140,40 +135,27 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Square matrix acting on ``n_qubits`` qubits."""
-
-    n_qubits: int
-    elements: np.ndarray
-
-    def __post_init__(self):
-        n = _check_qubit_count(self.n_qubits)
-        mat = _readonly(self.elements)
-        d = 1 << n
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d} x {d} matrix, got shape {mat.shape}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "elements", mat)
-
-
-@dataclass(frozen=True)
 class GateSpec:
-    """Target gate: the ideal unitary the noisy implementation is compared against."""
+    """Target gate: the ideal unitary the noisy implementation is compared against.
+
+    ``u00`` is the read-only 2**n_qubits x 2**n_qubits unitary matrix.
+    """
 
     n_qubits: int
-    u00: Operator
+    u00: np.ndarray
     name: str | None = None
 
     def __post_init__(self):
         n = _check_qubit_count(self.n_qubits)
-        if self.u00.n_qubits != n:
-            raise ValueError(
-                f"gate is declared on {n} qubit(s) but its unitary acts on {self.u00.n_qubits}"
-            )
-        residual = _unitarity_residual(self.u00.elements)
+        mat = _readonly(self.u00)
+        d = 1 << n
+        if mat.shape != (d, d):
+            raise ValueError(f"expected a {d} x {d} matrix for {n} qubit(s), got shape {mat.shape}")
+        residual = _unitarity_residual(mat)
         if not residual <= TOL.unitarity:
             raise ValueError(f"gate matrix is not unitary: max residual {residual:.3e}")
         object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "u00", mat)
 
     @classmethod
     def from_matrix(cls, matrix, name: str | None = None) -> "GateSpec":
@@ -185,12 +167,12 @@ class GateSpec:
         n = d.bit_length() - 1
         if d < 2 or (1 << n) != d:
             raise ValueError(f"gate dimension must be a power of two >= 2, got {d}")
-        return cls(n, Operator(n, mat), name=name)
+        return cls(n, mat, name=name)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "GateSpec":
         n = _check_qubit_count(n_qubits)
-        return cls(n, Operator(n, np.eye(1 << n)), name="identity")
+        return cls(n, np.eye(1 << n), name="identity")
 
 
 @dataclass(frozen=True)
@@ -212,14 +194,11 @@ class ErrorIndex:
         object.__setattr__(self, "phase_mask", int(self.phase_mask))
         object.__setattr__(self, "amp_mask", int(self.amp_mask))
 
-    def validate_for(self, n_qubits: int) -> None:
+    def flat(self, n_qubits: int) -> int:
+        """Row index of this error in the flattened basis: phase-mask-major."""
         limit = 1 << n_qubits
         if self.phase_mask >= limit or self.amp_mask >= limit:
             raise ValueError(f"masks {self} out of range for {n_qubits} qubit(s)")
-
-    def flat(self, n_qubits: int) -> int:
-        """Row index of this error in the flattened basis: phase-mask-major."""
-        self.validate_for(n_qubits)
         return (self.phase_mask << n_qubits) + self.amp_mask
 
     @classmethod
@@ -249,17 +228,12 @@ class ErrorBasis:
             raise ValueError(
                 f"expected a ({1 << (2 * n)}, {d}, {d}) operator stack, got shape {ops.shape}"
             )
-        if not np.array_equal(ops[0], self.gate.u00.elements):
+        if not np.array_equal(ops[0], self.gate.u00):
             raise ValueError("row 0 of the basis must equal the target unitary exactly")
         object.__setattr__(self, "operators", ops)
 
     def __len__(self) -> int:
         return self.operators.shape[0]
-
-    def operator(self, index: ErrorIndex) -> Operator:
-        """The stacked operator addressed by a pair of masks."""
-        n = self.gate.n_qubits
-        return Operator(n, self.operators[index.flat(n)])
 
     def gram_residual(self) -> float:
         """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over all pairs.
@@ -298,19 +272,6 @@ def complementary_ket(index: int, n_qubits: int) -> Ket:
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     factors = [minus if _mask_bit(index, k, n) else plus for k in range(n)]
     return Ket(n, reduce(np.kron, factors))
-
-
-def single_qubit_error_factor(z_bit: int, x_bit: int) -> Operator:
-    """One qubit's error factor Z**z_bit @ X**x_bit.
-
-    The four cases are I, X, Z and ZX = [[0, 1], [-1, 0]] (i.e. iY); the fixed
-    phase-after-bit-flip order pins the sign convention of the basis.
-    """
-    if z_bit not in (0, 1) or x_bit not in (0, 1):
-        raise ValueError(f"factor bits must be 0 or 1, got z={z_bit!r}, x={x_bit!r}")
-    left = PAULI_Z if z_bit else PAULI_I
-    right = PAULI_X if x_bit else PAULI_I
-    return Operator(1, left @ right)
 
 
 def _walsh_signs(n_qubits: int) -> np.ndarray:
@@ -366,23 +327,16 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None) -> np.nda
     return stack
 
 
-def error_operator(index: ErrorIndex, n_qubits: int) -> Operator:
-    """Tensor product of per-qubit error factors selected by the two masks."""
-    n = _check_qubit_count(n_qubits)
-    index.validate_for(n)
-    return Operator(n, _pauli_products([index.phase_mask], [index.amp_mask], n)[0])
-
-
-def build_error_basis(gate: GateSpec, max_qubits: int = MAX_QUBITS) -> ErrorBasis:
+def build_error_basis(gate: GateSpec) -> ErrorBasis:
     """Stack all 4**n gate-relative error operators u00 @ Pi(i, j).
 
-    Raises CapacityError when the gate acts on more than ``max_qubits`` qubits,
+    Raises CapacityError when the gate acts on more than MAX_QUBITS qubits,
     since the stack holds 4**n dense matrices of size 2**n.
     """
     n = gate.n_qubits
-    _require_capacity(n, max_qubits)
+    _require_capacity(n)
     flat = np.arange(1 << (2 * n))
-    u = gate.u00.elements
+    u = gate.u00
     stack = u @ _pauli_products(flat >> n, flat & ((1 << n) - 1), n)
     stack[0] = u
     return ErrorBasis(gate, stack)

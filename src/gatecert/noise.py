@@ -11,7 +11,6 @@ Kraus sets, for noise strength p on n qubits:
   probability p; the 2**n Kraus operators are the Z-type products with
   weights (1-p)**(n-k) p**k for k flipped qubits.
 * bitflip_per_qubit: same construction with X in place of Z.
-* phaseflip_per_qubit: alias of dephasing_per_qubit.
 * random_cptp: a seeded random channel of chosen Kraus rank, drawn by
   orthonormalizing the columns of a complex Ginibre matrix so the stacked
   Kraus blocks form an exact isometry.
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import GateSpec, _kraus_blocks, _pauli_products, _require_capacity
+from .core import GateSpec, _check_qubit_count, _kraus_blocks, _pauli_products, _require_capacity
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -35,7 +34,6 @@ NOISE_KINDS = (
     "depolarizing_global",
     "dephasing_per_qubit",
     "bitflip_per_qubit",
-    "phaseflip_per_qubit",
     "random_cptp",
 )
 
@@ -97,12 +95,10 @@ def _noise_kraus(
     kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0
 ) -> np.ndarray:
     """A fresh, writable Kraus stack of one noise family, not yet validated as a channel."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-    _require_capacity(n_qubits)
+    _require_capacity(_check_qubit_count(n_qubits))
     if kind == "depolarizing_global":
         return _depolarizing_global(strength, n_qubits)
-    if kind in ("dephasing_per_qubit", "phaseflip_per_qubit"):
+    if kind == "dephasing_per_qubit":
         return _independent_flip(strength, n_qubits, phase=True)
     if kind == "bitflip_per_qubit":
         return _independent_flip(strength, n_qubits, phase=False)
@@ -142,7 +138,7 @@ def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
     stack = _noise_kraus(spec.kind, n, spec.strength, spec.rank, spec.seed)
     d = stack.shape[-1]
     flat = stack.reshape(-1, d)
-    u = gate.u00.elements
+    u = gate.u00
     for block in _kraus_blocks(stack.shape[0], d):
         rows = slice(block.start * d, block.stop * d)
         flat[rows] = flat[rows] @ u

@@ -133,7 +133,7 @@ def test_criterion_4_depolarizing_closed_forms():
 
 def test_criterion_5_perfect_chain_correlation():
     gate = ghz_chain_gate(3)
-    ch = Channel(3, gate.u00.elements[np.newaxis])
+    ch = Channel(3, gate.u00[np.newaxis])
     rho_out = apply_channel(ch, entangling_input(3).density())
     correlation = ghz_correlation(rho_out)
     corr_ok = abs(correlation - 4.0) < 1e-10
@@ -147,7 +147,7 @@ def test_criterion_5_perfect_chain_correlation():
                 (np.array([1.0, 1.0]) if x == 0 else np.array([1.0, -1.0])) / np.sqrt(2),
                 np.eye(4)[2 * a],
             )
-            out = gate.u00.elements @ amp
+            out = gate.u00 @ amp
             worst_overlap = min(worst_overlap, ghz_family_overlap(out))
     conclude(
         5,

@@ -1,10 +1,14 @@
+import ast
 import importlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gatecert
+from gatecert import cli
 from gatecert.certify import certify, ghz_chain_gate
 from gatecert.channel import Channel, kraus_to_chi
 from gatecert.cli import (
@@ -70,7 +74,7 @@ def test_certify_with_noise_flag(tmp_path):
 
 
 def test_certify_explicit_matrix_config(tmp_path):
-    cnot = ghz_chain_gate(2).u00.elements
+    cnot = ghz_chain_gate(2).u00
     config = {"gate": {"matrix": matrix_to_pairs(cnot), "name": "my-cnot"}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -268,7 +272,7 @@ def test_matrix_pair_serialization_round_trip():
 
 def test_chi_serialization_truncates_dust(tmp_path):
     gate = ghz_chain_gate(2)
-    ch = Channel(2, gate.u00.elements[np.newaxis])
+    ch = Channel(2, gate.u00[np.newaxis])
     chi = kraus_to_chi(ch, gate)
     pairs = chi_to_pairs(chi)
     assert pairs[0][0] == [1.0, 0.0]
@@ -398,3 +402,48 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     assert info.value.code == 1
     assert main(["certify", "--gate", "ghz-chain", "--qubits", "2", "--output", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["gate"] == {"name": "ghz-chain", "qubits": 2}
+
+
+@pytest.mark.parametrize(
+    "gate_entry,flags,expected",
+    [
+        ({"builtin": "ghz-chain", "qubits": 3}, [], 3),
+        ({"builtin": "ghz-chain", "qubits": 3}, ["--qubits", "2"], 2),  # the flag wins
+        ({"qubits": 3}, ["--gate", "ghz-chain"], 3),
+        ({"matrix": "ignored"}, ["--gate", "ghz-chain", "--qubits", "2"], 2),
+        # the message names the problem
+        ({"builtin": "toffoli", "qubits": 3}, [], "available: ['ghz-chain']"),
+        ({"builtin": "ghz-chain"}, [], "qubit count"),
+    ],
+)
+def test_builtin_gates_resolve_the_same_way_from_flag_and_config(tmp_path, capsys, gate_entry, flags, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": gate_entry}))
+    code, doc = run(tmp_path, "certify", "--config", str(path), *flags)
+    if isinstance(expected, str):
+        assert code == 1 and doc is None
+        assert expected in capsys.readouterr().err
+    else:
+        assert code == 0 and doc["gate"] == {"name": "ghz-chain", "qubits": expected}
+
+
+def test_every_library_name_the_benchmark_replay_uses_exists():
+    # perfbench/worker.py replays the CLI and certify through these names.
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "worker.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) and owner.value.id == "self":
+            owner_name = owner.attr
+        elif isinstance(owner, ast.Name):
+            owner_name = owner.id
+        else:
+            continue
+        if owner_name in ("gc", "cli"):
+            used.add((owner_name, node.attr))
+    modules = {"gc": gatecert, "cli": cli}
+    assert {owner for owner, _ in used} == {"gc", "cli"}
+    missing = sorted(f"{owner}.{name}" for owner, name in used if not hasattr(modules[owner], name))
+    assert missing == []

@@ -13,12 +13,9 @@ from gatecert.core import (
     ErrorIndex,
     GateSpec,
     Ket,
-    Operator,
     build_error_basis,
     complementary_ket,
     computational_ket,
-    error_operator,
-    single_qubit_error_factor,
 )
 from _oracles import gram_residual, haar_unitary, pauli_product
 
@@ -76,26 +73,16 @@ def test_complementarity_between_the_two_bases():
             assert np.max(np.abs(probs - target)) < 1e-12
 
 
-def test_single_qubit_error_factors():
-    assert np.array_equal(single_qubit_error_factor(0, 0).elements, I2)
-    assert np.array_equal(single_qubit_error_factor(0, 1).elements, X)
-    assert np.array_equal(single_qubit_error_factor(1, 0).elements, Z)
-    # phase after bit flip: ZX = iY, sign convention pinned here
-    assert np.array_equal(single_qubit_error_factor(1, 1).elements, ZX)
-    with pytest.raises(ValueError):
-        single_qubit_error_factor(2, 0)
-
-
 def test_error_operator_identity_and_single_factors():
-    assert np.array_equal(error_operator(ErrorIndex(0, 0), 3).elements, np.eye(8))
-    assert np.array_equal(error_operator(ErrorIndex(1, 0), 1).elements, Z)
-    assert np.array_equal(error_operator(ErrorIndex(0, 1), 1).elements, X)
+    assert np.array_equal(_pauli_products([0], [0], 3)[0], np.eye(8))
+    assert np.array_equal(_pauli_products([1], [0], 1)[0], Z)
+    assert np.array_equal(_pauli_products([0], [1], 1)[0], X)
 
 
 def test_error_operator_two_qubit_hand_product():
     # masks address qubit 0 as the most significant bit, so amp_mask=1 puts
     # the bit flip on qubit 1 (the rightmost factor)
-    got = error_operator(ErrorIndex(3, 1), 2).elements
+    got = _pauli_products([3], [1], 2)[0]
     expected = np.kron(Z, Z) @ np.kron(I2, X)
     assert np.array_equal(got, expected)
     assert np.array_equal(got, np.kron(Z, Z @ X))
@@ -103,15 +90,16 @@ def test_error_operator_two_qubit_hand_product():
 
 def test_error_operator_masks_out_of_range():
     with pytest.raises(ValueError):
-        error_operator(ErrorIndex(4, 0), 2)
+        ErrorIndex(4, 0).flat(2)
     with pytest.raises(ValueError):
         ErrorIndex(-1, 0)
 
 
 def test_error_operators_are_unitary():
     for flat in range(16):
-        op = error_operator(ErrorIndex.from_flat(flat, 2), 2)
-        gram = op.elements.conj().T @ op.elements
+        idx = ErrorIndex.from_flat(flat, 2)
+        op = _pauli_products([idx.phase_mask], [idx.amp_mask], 2)[0]
+        gram = op.conj().T @ op
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
 
@@ -159,7 +147,7 @@ def test_basis_ordering_for_single_qubit_identity():
 def test_basis_row_zero_is_the_gate_itself():
     gate = GateSpec.from_matrix(CNOT, name="cnot")
     basis = build_error_basis(gate)
-    assert np.array_equal(basis.operators[0], gate.u00.elements)
+    assert np.array_equal(basis.operators[0], gate.u00)
 
 
 @pytest.mark.parametrize(
@@ -196,15 +184,13 @@ def test_gram_residual_matches_the_pairwise_traces(n_qubits):
 
 def test_basis_operator_lookup():
     basis = build_error_basis(GateSpec.from_matrix(CNOT))
-    op = basis.operator(ErrorIndex(2, 0))
-    assert np.array_equal(op.elements, CNOT @ np.kron(Z, I2))
+    op = basis.operators[ErrorIndex(2, 0).flat(2)]
+    assert np.array_equal(op, CNOT @ np.kron(Z, I2))
 
 
 def test_basis_capacity_limit():
     with pytest.raises(CapacityError):
         build_error_basis(GateSpec.identity(7))
-    with pytest.raises(CapacityError):
-        build_error_basis(GateSpec.identity(3), max_qubits=2)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -276,9 +262,8 @@ def test_density_matrix_rejects_nan_entries():
 
 
 def test_operator_unitary_flag():
-    non_unitary = Operator(1, np.array([[1.0, 1.0], [0.0, 1.0]]))  # fine unchecked
-    with pytest.raises(ValueError):
-        GateSpec(1, non_unitary)
+    with pytest.raises(ValueError, match="unitary"):
+        GateSpec(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_gate_spec_rejects_a_nan_matrix():
@@ -291,6 +276,8 @@ def test_gate_spec_validation():
         GateSpec.from_matrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
         GateSpec.from_matrix(np.eye(3))  # not a power of two
+    with pytest.raises(ValueError, match="4 x 4"):
+        GateSpec(2, np.eye(2))  # one qubit's matrix declared on two
     gate = GateSpec.from_matrix(np.eye(4))
     assert gate.n_qubits == 2
 
@@ -302,3 +289,5 @@ def test_value_arrays_are_read_only():
     basis = build_error_basis(GateSpec.identity(1))
     with pytest.raises(ValueError):
         basis.operators[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        basis.gate.u00[0, 0] = 5.0

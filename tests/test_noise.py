@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gatecert.channel import apply_channel, kraus_to_chi, validate_channel
+from gatecert import cli
+from gatecert.channel import _completeness_residual, apply_channel, kraus_to_chi
 from gatecert.core import CapacityError, DensityMatrix, GateSpec, complementary_ket, computational_ket
 from gatecert.noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
+from gatecert.tolerances import TOL
 from _oracles import allocation_peak, haar_unitary, random_density, superoperator
 
 CNOT = np.array(
@@ -99,10 +101,17 @@ def test_full_bitflip_flips_a_computational_state():
     assert np.allclose(out.elements, computational_ket(1, 1).density().elements, atol=1e-14)
 
 
-def test_phaseflip_is_an_alias_for_dephasing():
-    a = make_noise(NoiseSpec("phaseflip_per_qubit", 0.37), 2)
-    b = make_noise(NoiseSpec("dephasing_per_qubit", 0.37), 2)
-    assert np.array_equal(a.kraus_ops, b.kraus_ops)
+def test_the_removed_phaseflip_alias_is_rejected(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["certify", "--gate", "ghz-chain", "--qubits", "2", "--noise", "phaseflip_per_qubit:0.1"]
+    assert cli.main([*argv, "--output", str(out)]) == 1
+    assert "phaseflip_per_qubit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_noise_rejects_a_non_integer_qubit_count():
+    with pytest.raises(ValueError, match="positive integer"):
+        make_noise(NoiseSpec("dephasing_per_qubit", 0.1), 2.0)
 
 
 def test_random_cptp_is_deterministic_per_seed():
@@ -132,9 +141,10 @@ def test_every_noise_family_is_trace_preserving():
         for p in (0.0, 0.15, 0.5, 0.85, 1.0):
             for n_qubits in (1, 2, 3):
                 ch = make_noise(NoiseSpec(kind, p), n_qubits)
-                assert validate_channel(ch).passed
+                assert _completeness_residual(ch.kraus_ops) <= TOL.kraus_trace_preserving
     for seed in range(10):
-        assert validate_channel(random_cptp(2, 1 + seed, seed)).passed
+        ch = random_cptp(2, 1 + seed, seed)
+        assert _completeness_residual(ch.kraus_ops) <= TOL.kraus_trace_preserving
 
 
 def test_noisy_gate_without_noise_strength_is_the_pure_gate():
@@ -151,7 +161,7 @@ def test_noisy_gate_multiplies_every_noise_operator_by_the_gate(n_qubits):
     for kind in NOISE_KINDS:
         spec = NoiseSpec(kind, 0.3, rank=3, seed=n_qubits)
         noise = make_noise(spec, n_qubits).kraus_ops
-        expected = [k @ gate.u00.elements for k in noise]
+        expected = [k @ gate.u00 for k in noise]
         assert np.max(np.abs(noisy_gate(gate, spec).kraus_ops - expected)) < 1e-14
 
 

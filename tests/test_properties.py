@@ -37,7 +37,7 @@ def gates_and_channels(draw):
 @given(gates_and_channels(), SEEDS)
 def test_certify_path_matches_the_references(drawn, distortion_seed):
     gate, channel = drawn
-    n_qubits, kraus, u = gate.n_qubits, channel.kraus_ops, gate.u00.elements
+    n_qubits, kraus, u = gate.n_qubits, channel.kraus_ops, gate.u00
 
     chi = dense_chi(kraus, u)
     diag = _chi_diagonal(channel, gate)

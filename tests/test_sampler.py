@@ -9,7 +9,7 @@ from gatecert.sampler import FidelityEstimate, ShotPlan, basis_subseed, sample_t
 
 def perfect_chain(n_qubits):
     gate = ghz_chain_gate(n_qubits)
-    return gate, Channel(n_qubits, gate.u00.elements[np.newaxis])
+    return gate, Channel(n_qubits, gate.u00[np.newaxis])
 
 
 def test_shot_plan_validation():
