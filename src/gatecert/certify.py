@@ -32,8 +32,10 @@ from .core import (
     Ket,
     PAULI_X,
     PAULI_Y,
+    _frozen,
     _kraus_blocks,
     _require_capacity,
+    _walsh_signs,
 )
 from .tolerances import TOL
 
@@ -67,17 +69,13 @@ VIOLATION_THRESHOLD = 7.0 / 8.0
 CLASSICAL_CORRELATION_CEILING = 2.0
 
 
-def _kron_all(*matrices: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, matrices)
-
-
 # XXX - XYY - YXY - YYX, the three-qubit correlation combination whose
 # quantum extremes are +/- 4.
 _CORRELATION_OP = (
-    _kron_all(PAULI_X, PAULI_X, PAULI_X)
-    - _kron_all(PAULI_X, PAULI_Y, PAULI_Y)
-    - _kron_all(PAULI_Y, PAULI_X, PAULI_Y)
-    - _kron_all(PAULI_Y, PAULI_Y, PAULI_X)
+    reduce(np.kron, (PAULI_X, PAULI_X, PAULI_X))
+    - reduce(np.kron, (PAULI_X, PAULI_Y, PAULI_Y))
+    - reduce(np.kron, (PAULI_Y, PAULI_X, PAULI_Y))
+    - reduce(np.kron, (PAULI_Y, PAULI_Y, PAULI_X))
 )
 
 
@@ -106,9 +104,7 @@ class TransferTable:
         # Values a few ulps outside [0, 1] are rounding artifacts of exact
         # probabilities; store them clipped so downstream means and shot draws
         # never see an out-of-range number.
-        probs = np.clip(probs, 0.0, 1.0)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", _frozen(np.clip(probs, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -160,21 +156,20 @@ class FidelityReport:
                 )
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
 def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     """Matrix whose column n is input state |psi_n> of the chosen product basis.
 
     The computational frame is the identity; the complementary frame is the
     Kronecker power H^(x n) of the normalized Hadamard, whose column n is the
-    product of |+> and |-> factors selected by the bits of n.
+    product of |+> and |-> factors selected by the bits of n.  Its entries are
+    products of n entries of H, all of one magnitude, so it is bit for bit the
+    Walsh sign table times the left-to-right product of n copies of that magnitude.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     if basis == "z":
         return np.eye(1 << n_qubits, dtype=np.complex128)
-    return _kron_all(*[_HADAMARD] * n_qubits).astype(np.complex128)
+    return (_walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)).astype(np.complex128)
 
 
 def ideal_outputs(gate: GateSpec, basis: str) -> list[Ket]:
@@ -326,8 +321,7 @@ def ghz_floor(f_process: float) -> float:
 
 
 # Built once: ghz_summary compares every gate against it.
-_GHZ_CHAIN_3 = _ghz_chain_unitary(3)
-_GHZ_CHAIN_3.setflags(write=False)
+_GHZ_CHAIN_3 = _frozen(_ghz_chain_unitary(3))
 
 
 def _is_ghz_chain_3(gate: GateSpec) -> bool:

@@ -31,7 +31,9 @@ from .core import (
     ErrorIndex,
     GateSpec,
     _check_qubit_count,
+    _frozen,
     _kraus_blocks,
+    _readonly,
     _require_capacity,
     _walsh_signs,
 )
@@ -66,14 +68,14 @@ def _completeness_residual(kraus: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive trace-preserving map stored as a stack of Kraus operators."""
+    """Completely positive trace-preserving map stored as a stack of Kraus operators (see ``_readonly``)."""
 
     n_qubits: int
     kraus_ops: np.ndarray
 
     def __post_init__(self):
         n = _check_qubit_count(self.n_qubits)
-        kraus = np.array(self.kraus_ops, dtype=np.complex128)
+        kraus = _readonly(self.kraus_ops)
         d = 1 << n
         if kraus.ndim != 3 or kraus.shape[1:] != (d, d):
             raise ValueError(
@@ -87,7 +89,6 @@ class Channel:
         residual = _completeness_residual(kraus)
         if not residual <= TOL.kraus_trace_preserving:
             raise ValueError(f"channel is not trace preserving: max residual {residual:.3e}")
-        kraus.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "kraus_ops", kraus)
 
@@ -119,14 +120,15 @@ class ChiMatrix:
     Positivity is not re-checked by an eigendecomposition: the library builds
     a ChiMatrix only in ``kraus_to_chi``, as the Gram matrix
     chi = C^T (C^T)^dag of the coefficient matrix, so for every vector v,
-    v^dag chi v = ||(C^T)^dag v||^2 >= 0.
+    v^dag chi v = ||(C^T)^dag v||^2 >= 0.  The frozen product ``kraus_to_chi``
+    hands over is taken over without a copy, by the rule of ``core._readonly``.
     """
 
     gate: GateSpec
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.entries, dtype=np.complex128)
+        mat = _readonly(self.entries)
         q = 1 << (2 * self.gate.n_qubits)
         if mat.shape != (q, q):
             raise ValueError(f"expected a {q} x {q} process matrix, got shape {mat.shape}")
@@ -140,7 +142,6 @@ class ChiMatrix:
         if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
             raise ValueError("process-matrix diagonal has a non-real entry")
         _check_error_distribution(diag.real, complex(np.trace(mat)))
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
 
@@ -159,7 +160,7 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     side_by_side = kraus.transpose(1, 0, 2).reshape(d, m * d)
     evolved = kraus.reshape(m * d, d) @ rho.elements
     evolved = evolved.reshape(m, d, d).transpose(1, 0, 2).reshape(d, m * d)
-    return DensityMatrix(channel.n_qubits, evolved @ side_by_side.conj().T)
+    return DensityMatrix(channel.n_qubits, _frozen(evolved @ side_by_side.conj().T))
 
 
 def _error_coefficients(channel: Channel, gate: GateSpec):
@@ -251,7 +252,7 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     for block_t in blocks:
         coeffs_t[:, start : start + block_t.shape[1]] = block_t
         start += block_t.shape[1]
-    return ChiMatrix(gate, coeffs_t @ coeffs_t.conj().T)
+    return ChiMatrix(gate, _frozen(coeffs_t @ coeffs_t.conj().T))
 
 
 def process_fidelity(chi: ChiMatrix) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Channel, ChiMatrix, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
-from .core import ConsistencyError, GateSpec, _require_capacity, build_error_basis
+from .core import ConsistencyError, GateSpec, _kraus_blocks, _require_capacity, build_error_basis
 from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
 from .tolerances import TOL
@@ -150,13 +150,19 @@ def _chi_json(entries: np.ndarray):
     q-column row starts at offset 1 + 12 c.  Only the rows that keep an entry
     are built, by formatting their kept entries with the float repr that
     json.dumps uses (signed zeros stay ``-0.0``) and putting them in the place
-    of their zero text.  The entries must be finite, as a ChiMatrix's are.
+    of their zero text.  The entries must be finite, as a ChiMatrix's are.  The
+    kept entries are found 64 KiB at a time (``_kraus_blocks`` of single entries).
     """
     matrix = np.asarray(entries, dtype=np.complex128)
+    flat = matrix.reshape(-1)
     width = len(_ZERO_PAIR)
     zero_row = "[" + ", ".join([_ZERO_PAIR] * matrix.shape[1]) + "]"
-    kept_rows, kept_columns = np.nonzero(~(np.abs(matrix) < CHI_SERIALIZATION_FLOOR))
-    values = matrix[kept_rows, kept_columns]
+    kept = np.concatenate([
+        np.flatnonzero(~(np.abs(flat[block]) < CHI_SERIALIZATION_FLOOR)) + block.start
+        for block in _kraus_blocks(flat.size, 1)
+    ])
+    kept_rows, kept_columns = np.divmod(kept, matrix.shape[1])
+    values = flat[kept]
     starts = 1 + kept_columns * (width + 2)
     bounds = np.searchsorted(kept_rows, np.arange(len(matrix) + 1)).tolist()
     for r, (low, high) in enumerate(zip(bounds, bounds[1:])):

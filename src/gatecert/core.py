@@ -51,10 +51,27 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
 
+def _frozen(fresh: np.ndarray) -> np.ndarray:
+    """Mark a fresh array and every array it views read-only, so ``_readonly`` takes it over."""
+    view = fresh
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
+    return fresh
+
+
 def _readonly(values, dtype=np.complex128) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+    """``values`` as a read-only, C-contiguous ``dtype`` array: the ownership rule of every value type.
+
+    Such an array, read-only down its ``.base`` chain to the owner of the memory,
+    is taken over unchanged, since nothing can write to it; anything else is copied.
+    """
+    owner = values
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and getattr(values, "dtype", None) == dtype and values.flags.c_contiguous:
+        return values
+    return _frozen(np.array(values, dtype=dtype))
 
 
 def _check_qubit_count(n_qubits) -> int:
@@ -308,22 +325,21 @@ def _kraus_blocks(count: int, dim: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None) -> np.ndarray:
-    """Stack of the error products Z**z @ X**x for the given (z, x) mask pairs only.
+def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=None) -> np.ndarray:
+    """Stack of Z**z @ X**x @ right (right defaults to the identity) for the given (z, x) mask pairs only.
 
-    Each product is a signed permutation: (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r).
-    With ``scale``, product k is multiplied by ``scale[k]``; the scaled signs are
-    written straight into the one stack, so no second stack-sized array is made.
+    Each error product is a signed permutation, (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r), so the
+    stack is one gather of rows of [right; -right]: row r ^ x of the half the sign picks.  ``scale``
+    (product k times ``scale[k]``) is one in-place multiply; no second stack-sized array is made.
     """
     z = np.asarray(phase_masks, dtype=np.int64)
     x = np.asarray(amp_masks, dtype=np.int64)
     d = 1 << n_qubits
-    rows = np.arange(d)
-    signs = _walsh_signs(n_qubits)[z]
+    right = np.eye(d, dtype=np.complex128) if right is None else right
+    signed = np.concatenate([right, -right])
+    stack = signed[(np.arange(d) ^ x[:, np.newaxis]) + d * (_walsh_signs(n_qubits)[z] < 0)]
     if scale is not None:
-        signs *= np.asarray(scale, dtype=np.float64)[:, np.newaxis]
-    stack = np.zeros((z.size, d, d), dtype=np.complex128)
-    stack[np.arange(z.size)[:, None], rows, rows ^ x[:, None]] = signs
+        stack.view(np.float64)[...] *= np.asarray(scale, dtype=np.float64)[:, np.newaxis, np.newaxis]
     return stack
 
 
@@ -339,4 +355,4 @@ def build_error_basis(gate: GateSpec) -> ErrorBasis:
     u = gate.u00
     stack = u @ _pauli_products(flat >> n, flat & ((1 << n) - 1), n)
     stack[0] = u
-    return ErrorBasis(gate, stack)
+    return ErrorBasis(gate, _frozen(stack))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import GateSpec, _check_qubit_count, _kraus_blocks, _pauli_products, _require_capacity
+from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks, _pauli_products, _require_capacity
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -58,17 +58,17 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
-def _depolarizing_global(p: float, n_qubits: int) -> np.ndarray:
+def _depolarizing_global(p: float, n_qubits: int, right) -> np.ndarray:
     count = 1 << (2 * n_qubits)
     weights = np.full(count, p / count)
     weights[0] += 1.0 - p
     flat = np.flatnonzero(weights)
     return _pauli_products(
-        flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat])
+        flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right
     )
 
 
-def _independent_flip(p: float, n_qubits: int, phase: bool) -> np.ndarray:
+def _independent_flip(p: float, n_qubits: int, phase: bool, right) -> np.ndarray:
     masks, weights = [], []
     for mask in range(1 << n_qubits):
         flipped = mask.bit_count()
@@ -78,32 +78,36 @@ def _independent_flip(p: float, n_qubits: int, phase: bool) -> np.ndarray:
             weights.append(weight)
     zeros = [0] * len(masks)
     phase_masks, amp_masks = (masks, zeros) if phase else (zeros, masks)
-    return _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights))
+    return _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights), right)
 
 
-def _random_isometry(n_qubits: int, rank: int, seed: int) -> np.ndarray:
+def _random_isometry(n_qubits: int, rank: int, seed: int, right) -> np.ndarray:
     d = 1 << n_qubits
     if not 1 <= rank <= d * d:
         raise ValueError(f"rank must lie in [1, {d * d}] for {n_qubits} qubit(s), got {rank}")
     rng = np.random.default_rng(seed)
     ginibre = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
     isometry, _ = np.linalg.qr(ginibre)
+    if right is not None:
+        for block in _kraus_blocks(rank, d):
+            rows = slice(block.start * d, block.stop * d)
+            isometry[rows] = isometry[rows] @ right
     return isometry.reshape(rank, d, d)
 
 
 def _noise_kraus(
-    kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0
+    kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0, right=None
 ) -> np.ndarray:
-    """A fresh, writable Kraus stack of one noise family, not yet validated as a channel."""
+    """A fresh, frozen Kraus stack of one noise family (each N_k @ ``right`` if given), not yet validated."""
     _require_capacity(_check_qubit_count(n_qubits))
     if kind == "depolarizing_global":
-        return _depolarizing_global(strength, n_qubits)
+        return _frozen(_depolarizing_global(strength, n_qubits, right))
     if kind == "dephasing_per_qubit":
-        return _independent_flip(strength, n_qubits, phase=True)
+        return _frozen(_independent_flip(strength, n_qubits, True, right))
     if kind == "bitflip_per_qubit":
-        return _independent_flip(strength, n_qubits, phase=False)
+        return _frozen(_independent_flip(strength, n_qubits, False, right))
     if kind == "random_cptp":
-        return _random_isometry(n_qubits, rank, seed)
+        return _frozen(_random_isometry(n_qubits, rank, seed, right))
     raise ValueError(f"unknown noise kind {kind!r}")  # unreachable after NoiseSpec validation
 
 
@@ -126,20 +130,12 @@ def make_noise(spec: NoiseSpec, n_qubits: int) -> Channel:
 def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
     """The target gate followed by noise: Kraus operators N_k @ u00.
 
-    The fresh noise stack is multiplied by u00 in place, one block of
-    ``core._kraus_blocks`` at a time, each block's operators stacked vertically
-    into one product.  Only the returned Channel is validated: when
-    sum N^dag N = I and u00 is unitary (which GateSpec checks),
+    The stack is built once, with u00 on its right (a row gather for the Pauli
+    families, an in-place blocked product for a random isometry), and the
+    returned Channel takes it over without a copy.  Only that Channel is
+    validated: when sum N^dag N = I and u00 is unitary (which GateSpec checks),
     sum u00^dag N^dag N u00 = u00^dag I u00 = I, so the completeness check of
-    the result covers the noise stack too.  The Channel's defensive copy is
-    the one other stack-sized array.
+    the result covers the noise stack too.
     """
-    n = gate.n_qubits
-    stack = _noise_kraus(spec.kind, n, spec.strength, spec.rank, spec.seed)
-    d = stack.shape[-1]
-    flat = stack.reshape(-1, d)
-    u = gate.u00
-    for block in _kraus_blocks(stack.shape[0], d):
-        rows = slice(block.start * d, block.stop * d)
-        flat[rows] = flat[rows] @ u
-    return Channel(n, stack)
+    stack = _noise_kraus(spec.kind, gate.n_qubits, spec.strength, spec.rank, spec.seed, gate.u00)
+    return Channel(gate.n_qubits, stack)

@@ -60,7 +60,7 @@ class FidelityEstimate:
     def __post_init__(self):
         if not 0.0 <= self.mean <= 1.0:
             raise ValueError(f"estimated mean must lie in [0, 1], got {self.mean!r}")
-        if self.std_error < 0.0:
+        if not self.std_error >= 0.0:
             raise ValueError(f"standard error must be non-negative, got {self.std_error!r}")
         successes = sum(self.per_input_counts.values())
         if self.shots_total < len(self.per_input_counts) or successes > self.shots_total:

@@ -1,4 +1,5 @@
 import importlib
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def test_input_frames_hold_the_product_kets_bit_for_bit(n_qubits):
         frame = _input_frame(n_qubits, basis)
         assert frame.dtype == np.complex128
         assert np.array_equal(frame, np.stack(columns, axis=1))
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_complementary_frame_is_the_kron_power_of_the_hadamard_bit_for_bit(n_qubits):
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    reference = reduce(np.kron, [hadamard] * n_qubits).astype(np.complex128)
+    frame = _input_frame(n_qubits, "x")
+    assert frame.dtype == reference.dtype and frame.shape == reference.shape
+    # tobytes compares every bit, the signs of the zero imaginary parts included
+    assert frame.tobytes() == reference.tobytes()
 
 
 def test_ideal_outputs_of_the_identity_are_the_inputs():

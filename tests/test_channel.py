@@ -317,6 +317,42 @@ def test_chi_matrix_check_holds_no_full_size_temporary():
     assert peak <= 1.3 * fresh.nbytes
 
 
+def _owned_values():
+    """A valid 2-qubit Kraus stack and its chi, as (build, values) pairs for Channel and ChiMatrix."""
+    gate = GateSpec.identity(2)
+    channel = random_cptp(2, rank=3, seed=4)
+    return [
+        (lambda values: Channel(2, values).kraus_ops, channel.kraus_ops),
+        (lambda values: ChiMatrix(gate, values).entries, kraus_to_chi(channel, gate).entries),
+    ]
+
+
+@pytest.mark.parametrize("build, values", _owned_values(), ids=["Channel", "ChiMatrix"])
+def test_a_frozen_owning_array_is_taken_over(build, values):
+    frozen = np.array(values)
+    frozen.setflags(write=False)
+    assert np.shares_memory(build(frozen), frozen)
+    # so is a read-only view down to a read-only owner, but not an array
+    # that is not C-contiguous
+    assert np.shares_memory(build(frozen[...]), frozen)
+    fortran = np.asfortranarray(values)
+    fortran.setflags(write=False)
+    held = build(fortran)
+    assert not np.shares_memory(held, fortran)
+    assert np.array_equal(held, values) and not held.flags.writeable
+
+
+@pytest.mark.parametrize("build, values", _owned_values(), ids=["Channel", "ChiMatrix"])
+def test_a_read_only_view_of_a_writable_array_is_copied(build, values):
+    base = np.array(values)
+    view = base[...]
+    view.setflags(write=False)
+    held = build(view)
+    base *= 2.0
+    assert not np.shares_memory(held, base)
+    assert np.array_equal(held, values) and not held.flags.writeable
+
+
 def test_process_fidelity_flags_imaginary_leak():
     # small enough to slip past the matrix-level checks, big enough to trip
     # the dedicated guard on the returned scalar

@@ -322,7 +322,8 @@ def test_writing_a_chi_document_holds_less_than_the_document(tmp_path):
     written = out.read_bytes()
     doc["chi"] = chi_to_pairs(chi)
     assert written == (json.dumps(doc) + "\n").encode()
-    assert peak < 1.0 * len(written)
+    # the kept entries are found in 64 KiB blocks, so no chi-sized mask is made
+    assert peak < 0.3 * len(written)
 
 
 def test_a_failing_chi_writer_creates_no_file(tmp_path, capsys, monkeypatch):

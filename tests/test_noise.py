@@ -162,7 +162,13 @@ def test_noisy_gate_multiplies_every_noise_operator_by_the_gate(n_qubits):
         spec = NoiseSpec(kind, 0.3, rank=3, seed=n_qubits)
         noise = make_noise(spec, n_qubits).kraus_ops
         expected = [k @ gate.u00 for k in noise]
-        assert np.max(np.abs(noisy_gate(gate, spec).kraus_ops - expected)) < 1e-14
+        got = noisy_gate(gate, spec).kraus_ops
+        if kind == "random_cptp":
+            assert np.max(np.abs(got - expected)) < 1e-14
+        else:
+            # a Pauli-family operator is a scaled signed permutation: its
+            # product with u00 is a row gather and a sign, exact to the bit
+            assert np.array_equal(got, expected)
 
 
 def test_noisy_gate_process_fidelity_closed_form():
@@ -183,13 +189,31 @@ def test_depolarizing_commutes_with_the_gate():
     assert np.max(np.abs(after - before)) < 1e-10
 
 
-def test_noisy_gate_holds_at_most_two_kraus_stacks_at_once():
-    # the Pauli stack is scaled as it is written, noisy_gate multiplies it by
-    # the gate in place, and the returned Channel copies that same array
+def test_noisy_gate_holds_one_kraus_stack():
+    # the stack is gathered from the rows of +/- u00 and scaled in place, and
+    # the returned Channel takes that same array over without a copy
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(5), 16))
     channel, peak = allocation_peak(lambda: noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)))
     assert channel.rank == 256
-    assert peak <= 2.1 * channel.kraus_ops.nbytes
+    assert peak <= 1.1 * channel.kraus_ops.nbytes
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_noisy_gate_hands_its_stack_to_the_channel(monkeypatch, kind):
+    import gatecert.noise as noise_module
+
+    build = noise_module._noise_kraus
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(noise_module, "_noise_kraus", recorded)
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(7), 8))
+    channel = noisy_gate(gate, NoiseSpec(kind, 0.2, rank=5, seed=3))
+    assert channel.kraus_ops is built[0]
+    assert not channel.kraus_ops.flags.writeable
 
 
 def test_noisy_gate_validates_only_the_returned_channel(monkeypatch):

@@ -59,6 +59,11 @@ def test_estimate_validation():
         FidelityEstimate(0.9, 0.01, 100, {0: 50})  # mean disagrees with counts
 
 
+def test_estimate_rejects_a_nan_standard_error():
+    with pytest.raises(ValueError, match="standard error"):
+        FidelityEstimate(0.5, float("nan"), 10, {0: 3, 1: 2})
+
+
 def test_estimates_concentrate_around_the_exact_value():
     # 5-sigma coverage check at every shot budget: nearly every seed must
     # land inside the pooled-error band around the exact fidelity
