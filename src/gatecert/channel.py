@@ -68,7 +68,7 @@ def _completeness_residual(kraus: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive trace-preserving map stored as a stack of Kraus operators (see ``_readonly``)."""
+    """Completely positive trace-preserving map as a Kraus stack, taken over without a copy when frozen."""
 
     n_qubits: int
     kraus_ops: np.ndarray
