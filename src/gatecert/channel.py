@@ -16,6 +16,12 @@ flat index a = (z << n) + x,
 a Walsh-Hadamard transform over s of the gathered G_m[s, x] = M_m[s, s ^ x]
 (the tensorized Pauli decomposition of Hantzko, Binkowski and Gupta,
 arXiv:2310.13421).  All coefficients cost O(m 8**n) instead of O(m 16**n).
+
+The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
++-1, integer sums), so S inverts the transform exactly and no run rebuilds G
+to check it; the tests check the identity.  A wrong sign or normalization
+still breaks Parseval: the error probabilities must sum to
+Tr(sum_m K_m^dag K_m) / 2**n = 1.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .core import (
     GateSpec,
     _check_qubit_count,
     _frozen,
+    _identity_residual,
     _kraus_blocks,
     _readonly,
     _require_capacity,
@@ -50,7 +57,7 @@ __all__ = [
 
 
 def _completeness_residual(kraus: np.ndarray) -> float:
-    """Max-entry deviation of sum_m K_m^dag K_m from the identity.
+    """``core._identity_residual`` of sum_m K_m^dag K_m, for a C-contiguous complex128 stack.
 
     Stacking the operators vertically into one (m 2**n x 2**n) matrix turns
     the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.  That
@@ -60,10 +67,10 @@ def _completeness_residual(kraus: np.ndarray) -> float:
     Re = g[re, re] + g[im, im] and Im = g[re, im] - g[im, re].
     """
     d = kraus.shape[-1]
-    view = np.ascontiguousarray(kraus, dtype=np.complex128).reshape(-1, d).view(np.float64)
+    view = kraus.reshape(-1, d).view(np.float64)
     gram = view.T @ view
     total = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
-    return float(np.max(np.abs(total - np.eye(d))))
+    return _identity_residual(total)
 
 
 @dataclass(frozen=True)
@@ -170,16 +177,12 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     The qubit counts and the capacity are checked at once; the blocks of
     ``core._kraus_blocks`` are then transformed one at a time as the returned
     iterator is read, so every temporary stays within one block.  Each block
-    runs the Walsh-Hadamard transform of the module docstring, and the inverse
-    transform then rebuilds every gathered G_m of the block from its
-    coefficients; a mismatch raises ConsistencyError because it can only come
-    from a bug in the transform or the bookkeeping, not from user input.
+    runs the Walsh-Hadamard transform of the module docstring.
 
     The gather lays a block's G out as one 2**n x (2**n b) matrix, row s and
-    column (x, m), so each transform is a single product with the real sign
+    column (x, m), so the transform is a single product with the real sign
     table, taken over the float64 view (real and imaginary parts side by
-    side).  The 1/2**n normalization sits in the sign table, and the
-    reconstruction overwrites the spent u00^dag K buffer.
+    side), with the 1/2**n normalization folded into the table.
     """
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
@@ -188,8 +191,7 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     n = gate.n_qubits
     _require_capacity(n)
     d = 1 << n
-    signs = _walsh_signs(n)
-    scaled = signs / d
+    scaled = _walsh_signs(n) / d
     rows = np.arange(d)[:, np.newaxis]
     columns = rows ^ rows.T
     u_dag = gate.u00.conj().T
@@ -200,14 +202,6 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
         count = product.shape[0]
         gathered = product.transpose(1, 2, 0)[rows, columns].reshape(d, d * count)
         coeffs = (scaled @ gathered.view(np.float64)).view(np.complex128)
-        rebuilt = product.reshape(d, d * count)
-        np.matmul(signs, coeffs.view(np.float64), out=rebuilt.view(np.float64))
-        rebuilt -= gathered
-        residual = float(np.max(np.abs(rebuilt)))
-        if not residual <= TOL.reconstruction:
-            raise ConsistencyError(
-                f"Kraus reconstruction from basis coefficients failed: max residual {residual:.3e}"
-            )
         return coeffs.reshape(d * d, count)
 
     return map(transform, _kraus_blocks(channel.rank, d))
@@ -235,9 +229,8 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     Computes the expansion coefficients c_{m,a} = Tr{U_a^dag K_m} / 2**n by
     the Walsh-Hadamard transform
     c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) (u00^dag K_m)[s, s ^ x] for
-    a = (z << n) + x, checks that the inverse transform reconstructs every
-    Kraus operator, and assembles chi = C^T C^* in one product.  The blocks of
-    C^T are written side by side into one 4**n x m matrix, never larger than
+    a = (z << n) + x, and assembles chi = C^T C^* in one product.  The blocks
+    of C^T are written side by side into one 4**n x m matrix, never larger than
     chi itself; summing per-block products instead would re-read the whole
     4**n x 4**n chi once per block.  The dense basis is never built; a
     supplied ``basis`` is only checked to belong to ``gate``.
@@ -268,13 +261,11 @@ def process_fidelity(chi: ChiMatrix) -> float:
 def error_probabilities(chi: ChiMatrix) -> dict[ErrorIndex, float]:
     """Diagonal of the process matrix keyed by (phase_mask, amp_mask) pairs.
 
-    The values form a probability distribution over the discrete error set;
-    their sum is the (unit) trace of the process matrix.
+    The values form a probability distribution over the discrete error set:
+    their sum is the trace of the process matrix, which ``ChiMatrix`` has
+    already checked to be 1.
     """
     n = chi.gate.n_qubits
     diag = np.diagonal(chi.entries).real
-    total = float(np.sum(diag))
-    if not abs(total - 1.0) <= TOL.chi_trace:
-        raise ConsistencyError(f"error probabilities sum to {total!r}, expected 1")
     return {ErrorIndex.from_flat(a, n): float(p) for a, p in enumerate(diag)}
 

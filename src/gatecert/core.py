@@ -71,7 +71,7 @@ def _readonly(values, dtype=np.complex128) -> np.ndarray:
         owner = owner.base
     if owner is None and getattr(values, "dtype", None) == dtype and values.flags.c_contiguous:
         return values
-    return _frozen(np.array(values, dtype=dtype))
+    return _frozen(np.array(values, dtype=dtype, order="C"))
 
 
 def _check_qubit_count(n_qubits) -> int:
@@ -85,9 +85,9 @@ def _mask_bit(mask: int, qubit: int, n_qubits: int) -> int:
     return (mask >> (n_qubits - 1 - qubit)) & 1
 
 
-def _unitarity_residual(matrix: np.ndarray) -> float:
-    gram = matrix.conj().T @ matrix
-    return float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
+def _identity_residual(gram: np.ndarray) -> float:
+    """Largest absolute row sum of gram - I; for Hermitian gram it bounds |<psi|gram|psi> - 1| for unit psi."""
+    return float(np.max(np.sum(np.abs(gram - np.eye(gram.shape[0])), axis=1)))
 
 
 def _require_capacity(n_qubits: int) -> None:
@@ -168,7 +168,7 @@ class GateSpec:
         d = 1 << n
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix for {n} qubit(s), got shape {mat.shape}")
-        residual = _unitarity_residual(mat)
+        residual = _identity_residual(mat.conj().T @ mat)
         if not residual <= TOL.unitarity:
             raise ValueError(f"gate matrix is not unitary: max residual {residual:.3e}")
         object.__setattr__(self, "n_qubits", n)

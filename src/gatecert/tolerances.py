@@ -19,13 +19,16 @@ class Tolerances:
     hermiticity: float = 1e-10
     trace_one: float = 1e-10
     psd_floor: float = -1e-9
-    unitarity: float = 1e-10
+    # Limits on the largest absolute row sum of u^dag u - I and of
+    # sum_m K_m^dag K_m - I, which bound every eigenvalue.  By Cauchy-Schwarz
+    # every transfer probability is then at most (1 + unitarity)(1 +
+    # kraus_trace_preserving) < 1 + probability_slack.
+    unitarity: float = 4e-11
     orthogonality: float = 1e-10
-    kraus_trace_preserving: float = 1e-9
+    kraus_trace_preserving: float = 4e-11
     chi_hermiticity: float = 1e-9
     chi_diagonal: float = 1e-9
     chi_trace: float = 1e-9
-    reconstruction: float = 1e-9
     imaginary_leak: float = 1e-10
     diagonal_identity: float = 1e-8
     probability_slack: float = 1e-10

@@ -36,7 +36,7 @@ def superoperator(kraus):
 
 
 def completeness_residual(kraus):
-    """Max-entry deviation of sum_m K_m^dag K_m from I, summed one row outer product at a time.
+    """Largest absolute row sum of sum_m K_m^dag K_m - I, summed one row outer product at a time.
 
     sum_m K_m^dag K_m = sum_{m,j} conj(row_j(K_m))^T row_j(K_m).
     """
@@ -46,7 +46,7 @@ def completeness_residual(kraus):
     for k in kraus:
         for row in k:
             total += np.outer(row.conj(), row)
-    return float(np.max(np.abs(total - np.eye(d))))
+    return max(sum(abs(entry) for entry in row) for row in total - np.eye(d))
 
 
 def gram_residual(operators):
@@ -136,6 +136,28 @@ def dense_chi(kraus, unitary):
     basis = np.stack([unitary @ pauli_product(a >> n_qubits, a % d, n_qubits) for a in range(d * d)])
     coeffs = np.einsum("aij,mij->ma", basis.conj(), kraus, optimize=True) / d
     return coeffs.T @ coeffs.conj()
+
+
+def dense_chi_diagonal(kraus, unitary):
+    """Diagonal of ``dense_chi``, building the basis 2**n operators (one phase mask) at a time.
+
+    chi_{a,a} = sum_m |Tr(U_a^dag K_m)|^2 / 4**n; no more than 2**n basis
+    operators are held at once, so a 6-qubit diagonal needs 4 MB, not the
+    268 MB of the whole 4**6-operator stack.
+    """
+    kraus = np.asarray(kraus)
+    d = kraus.shape[-1]
+    n_qubits = d.bit_length() - 1
+    flat = kraus.reshape(kraus.shape[0], -1)
+    # Z**z X**x = (Z**z X**0)(Z**0 X**x), each factor a Kronecker product; the
+    # bit-flip factor is a permutation matrix, so multiplying by it on the
+    # right moves column sources[x, j] of the left operand to column j
+    sources = np.stack([np.argmax(pauli_product(0, x, n_qubits), axis=0) for x in range(d)])
+    diag = np.empty(d * d)
+    for z in range(d):
+        row = (unitary @ pauli_product(z, 0, n_qubits))[:, sources].transpose(1, 0, 2).reshape(d, -1)
+        diag[z * d : (z + 1) * d] = np.sum(np.abs(row.conj() @ flat.T) ** 2, axis=1) / (d * d)
+    return diag
 
 
 def ghz_family_overlap(amplitudes):

@@ -95,6 +95,21 @@ def test_certify_rejects_non_unitary_matrix(tmp_path, capsys):
     assert "unitary" in capsys.readouterr().err
 
 
+def test_nearly_unitary_matrix_fails_at_the_gate_not_at_the_probabilities(tmp_path, capsys):
+    # residual 0.9e-10 passed a 1e-10 unitarity check, and the z-sweep
+    # probability (u^dag u)_00**2 = 1 + 1.8e-10 then failed the range check
+    # of the transfer table with a message that named no cause
+    matrix = [[[float(np.sqrt(1.0 + 0.9e-10)), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix}}))
+    code, doc = run(tmp_path, "certify", "--config", str(path))
+    assert code == 1
+    assert doc is None
+    err = capsys.readouterr().err
+    assert "not unitary" in err
+    assert "probabilities" not in err
+
+
 def test_certify_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{not json")

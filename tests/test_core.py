@@ -17,6 +17,7 @@ from gatecert.core import (
     complementary_ket,
     computational_ket,
 )
+from gatecert.tolerances import MAX_QUBITS, TOL
 from _oracles import gram_residual, haar_unitary, pauli_product
 
 I2 = np.eye(2)
@@ -237,6 +238,19 @@ def test_walsh_signs_are_the_kron_table_bit_for_bit(n_qubits):
     assert table.flags.writeable and table is not _walsh_signs(n_qubits)
 
 
+@pytest.mark.parametrize("n_qubits", range(1, MAX_QUBITS + 1))
+def test_walsh_signs_are_their_own_inverse_up_to_2_to_the_n_exactly(n_qubits):
+    # S = S^T and S S = 2**n I hold exactly in float64 (entries +-1, integer
+    # sums of at most 64 terms), so the coefficient transform of
+    # channel._error_coefficients, a product with S / 2**n, is inverted
+    # exactly by S and needs no rebuild of the Kraus operators at run time
+    table = _walsh_signs(n_qubits)
+    d = 1 << n_qubits
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(table @ table, d * np.eye(d))
+    assert np.array_equal(table @ (table / d), np.eye(d))
+
+
 def test_ket_rejects_a_nan_amplitude():
     with pytest.raises(ValueError, match="normalized"):
         Ket(1, np.array([np.nan, 0.0]))
@@ -264,6 +278,18 @@ def test_density_matrix_rejects_nan_entries():
 def test_operator_unitary_flag():
     with pytest.raises(ValueError, match="unitary"):
         GateSpec(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_gate_spec_residual_bounds_every_input_norm():
+    # u = I + c J / 4 has u^dag u = I + s J / 4 with s = 2c + c**2: its largest
+    # entry deviation is s / 4, but the all-plus input grows by the full s,
+    # the eigenvalue of s J / 4 on it, and its transfer probability by 2s
+    s = 0.9 * TOL.probability_slack
+    c = np.sqrt(1.0 + s) - 1.0
+    u = np.eye(4) + c * np.ones((4, 4)) / 4
+    assert np.max(np.abs(u.T @ u - np.eye(4))) < TOL.unitarity < s
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec(2, u)
 
 
 def test_gate_spec_rejects_a_nan_matrix():

@@ -2,7 +2,7 @@
 
 Each example draws a qubit count n <= 4, a Haar gate and a seeded random
 channel of any Kraus rank, so full-rank stacks are covered as well as
-unitary ones.
+unitary ones.  Seeded examples at n = 5 and 6 follow the drawn ones.
 """
 
 import numpy as np
@@ -76,3 +76,25 @@ def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
     for channel in channels:
         entries = kraus_to_chi(channel, gate).entries
         assert np.min(np.linalg.eigvalsh(entries)) >= -1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [5, 6])
+def test_diagonal_identities_and_sandwich_hold_at_five_and_six_qubits(n_qubits):
+    # fz and fx come from state propagation, the chi diagonal from the Walsh
+    # transform; the phase-only column and the bit-only row of that diagonal
+    # must reproduce them, and chi_00 must lie in [fz + fx - 1, min(fz, fx)]
+    rng = np.random.default_rng(500 + n_qubits)
+    d = 2**n_qubits
+    gate = GateSpec.from_matrix(haar_unitary(rng, d))
+    specs = [NoiseSpec("random_cptp", rank=7, seed=int(rng.integers(1 << 30)))]
+    specs += [NoiseSpec(kind, 0.2) for kind in ("dephasing_per_qubit", "bitflip_per_qubit")]
+    if n_qubits == 5:
+        specs.append(NoiseSpec("depolarizing_global", 0.2))
+    for spec in specs:
+        channel = noisy_gate(gate, spec)
+        diag = _chi_diagonal(channel, gate)
+        fz = classical_fidelity(channel, gate, "z")[1]
+        fx = classical_fidelity(channel, gate, "x")[1]
+        assert abs(fz - np.sum(diag[::d])) < 1e-12
+        assert abs(fx - np.sum(diag[:d])) < 1e-12
+        assert fz + fx - 1.0 - 1e-12 <= diag[0] <= min(fz, fx) + 1e-12
