@@ -45,6 +45,7 @@ from .core import (
     build_error_basis,
     complementary_ket,
     computational_ket,
+    orthogonality_residual,
 )
 from .noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
 from .sampler import FidelityEstimate, ShotPlan, basis_subseed, sample_transfer, sampled_report
@@ -94,6 +95,7 @@ __all__ = [
     "kraus_to_chi",
     "make_noise",
     "noisy_gate",
+    "orthogonality_residual",
     "process_fidelity",
     "random_cptp",
     "sample_transfer",

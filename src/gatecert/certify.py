@@ -327,7 +327,7 @@ _GHZ_CHAIN_3 = _frozen(_ghz_chain_unitary(3))
 def _is_ghz_chain_3(gate: GateSpec) -> bool:
     if gate.n_qubits != 3:
         return False
-    return bool(np.allclose(gate.u00, _GHZ_CHAIN_3, rtol=0.0, atol=TOL.gate_match))
+    return float(np.max(np.abs(gate.u00 - _GHZ_CHAIN_3))) <= TOL.gate_match
 
 
 def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:

@@ -21,7 +21,8 @@ The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
 +-1, integer sums), so S inverts the transform exactly and no run rebuilds G
 to check it; the tests check the identity.  A wrong sign or normalization
 still breaks Parseval: the error probabilities must sum to
-Tr(sum_m K_m^dag K_m) / 2**n = 1.
+Tr(sum_m K_m^dag K_m) / 2**n = 1, and a diagonal that does not is a bug,
+reported as ConsistencyError.
 """
 
 from __future__ import annotations
@@ -104,13 +105,18 @@ class Channel:
         return self.kraus_ops.shape[0]
 
 
-def _check_error_distribution(diag: np.ndarray, trace: complex) -> None:
-    """Reject a process-matrix diagonal outside [0, 1] or a trace other than 1, or NaN."""
+def _check_error_distribution(diag: np.ndarray, trace: complex, error=ValueError) -> None:
+    """Raise ``error`` for a process-matrix diagonal outside [0, 1] or a trace other than 1, or NaN.
+
+    A matrix a caller hands to ``ChiMatrix`` fails with ValueError; the
+    library's own decomposition of a validated channel can fail only through
+    a bug, so its callers pass ConsistencyError.
+    """
     low, high = float(np.min(diag)), float(np.max(diag))
     if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
-        raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
+        raise error("process-matrix diagonal entries must lie in [0, 1]")
     if not abs(trace - 1.0) <= TOL.chi_trace:
-        raise ValueError(f"process matrix must have unit trace, got {trace!r}")
+        raise error(f"process matrix must have unit trace, got {trace!r}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,16 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(channel.n_qubits, _frozen(evolved @ side_by_side.conj().T))
 
 
+def _check_pair(channel: Channel, gate: GateSpec) -> int:
+    """The common qubit count of ``channel`` and ``gate``, within capacity, or ValueError."""
+    if channel.n_qubits != gate.n_qubits:
+        raise ValueError(
+            f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
+        )
+    _require_capacity(gate.n_qubits)
+    return gate.n_qubits
+
+
 def _error_coefficients(channel: Channel, gate: GateSpec):
     """C_b^T, the 4**n x b coefficient matrix of each block of Kraus operators, lazily.
 
@@ -184,12 +200,7 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     table, taken over the float64 view (real and imaginary parts side by
     side), with the 1/2**n normalization folded into the table.
     """
-    if channel.n_qubits != gate.n_qubits:
-        raise ValueError(
-            f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
-        )
-    n = gate.n_qubits
-    _require_capacity(n)
+    n = _check_pair(channel, gate)
     d = 1 << n
     scaled = _walsh_signs(n) / d
     rows = np.arange(d)[:, np.newaxis]
@@ -219,8 +230,29 @@ def _chi_diagonal(channel: Channel, gate: GateSpec) -> np.ndarray:
     for coeffs_t in blocks:
         parts = coeffs_t.view(np.float64)
         diag += np.einsum("ak,ak->a", parts, parts)
-    _check_error_distribution(diag, complex(np.sum(diag)))
+    _check_error_distribution(diag, complex(np.sum(diag)), ConsistencyError)
     return diag
+
+
+def _chi_00(channel: Channel, gate: GateSpec) -> float:
+    """The process fidelity chi_{0,0} = sum_m |Tr{u00^dag K_m}|^2 / 4**n alone.
+
+    Tr{u00^dag K_m} is the inner product of the flattened K_m with the
+    flattened u00, so all m traces are one product of the (m x 4**n) view of
+    the stack with vec(conj(u00)), O(m 4**n), and nothing of the stack's size
+    is allocated.  By Cauchy-Schwarz |Tr{u00^dag K_m}|^2 <=
+    Tr{u00^dag u00} Tr{K_m^dag K_m}, and those bounds sum to
+    2**n Tr{sum_m K_m^dag K_m} = 4**n, so the value lies in [0, 1] up to the
+    unitarity and completeness tolerances; anything else, NaN included, is a
+    bug and raises ConsistencyError.
+    """
+    d = 1 << _check_pair(channel, gate)
+    kraus = channel.kraus_ops
+    traces = kraus.reshape(len(kraus), d * d) @ gate.u00.conj().reshape(d * d)
+    value = float(np.vdot(traces, traces).real) / (d * d)
+    if not 0.0 <= value <= 1.0 + TOL.chi_diagonal:
+        raise ConsistencyError(f"process fidelity {value!r} lies outside [0, 1]; the contraction is broken")
+    return value
 
 
 def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
@@ -233,7 +265,9 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     of C^T are written side by side into one 4**n x m matrix, never larger than
     chi itself; summing per-block products instead would re-read the whole
     4**n x 4**n chi once per block.  The dense basis is never built; a
-    supplied ``basis`` is only checked to belong to ``gate``.
+    supplied ``basis`` is only checked to belong to ``gate``.  A chi built
+    this way from a validated channel fails the ``ChiMatrix`` checks only
+    through a bug, so such a failure raises ConsistencyError.
     """
     if basis is not None and basis.gate is not gate and not np.array_equal(
         basis.gate.u00, gate.u00
@@ -245,7 +279,10 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     for block_t in blocks:
         coeffs_t[:, start : start + block_t.shape[1]] = block_t
         start += block_t.shape[1]
-    return ChiMatrix(gate, _frozen(coeffs_t @ coeffs_t.conj().T))
+    try:
+        return ChiMatrix(gate, _frozen(coeffs_t @ coeffs_t.conj().T))
+    except ValueError as exc:
+        raise ConsistencyError(f"{exc}; the decomposition is broken") from exc
 
 
 def process_fidelity(chi: ChiMatrix) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "computational_ket",
     "complementary_ket",
     "build_error_basis",
+    "orthogonality_residual",
 ]
 
 
@@ -95,8 +96,7 @@ def _require_capacity(n_qubits: int) -> None:
     if n_qubits > MAX_QUBITS:
         raise CapacityError(
             f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
-            f"the full process matrix and the dense error basis would each hold "
-            f"{1 << (4 * n_qubits)} complex entries"
+            f"the full process matrix would hold {1 << (4 * n_qubits)} complex entries"
         )
 
 
@@ -256,7 +256,9 @@ class ErrorBasis:
         """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over all pairs.
 
         Tr{U_a^dag U_b} is the inner product of the flattened operators, so
-        the whole Gram matrix is one (4**n x 4**n) product.
+        the whole Gram matrix is one (4**n x 4**n) product.  For a basis that
+        ``build_error_basis`` built, ``orthogonality_residual`` gives the same
+        number without the basis or the Gram matrix.
         """
         flat = self.operators.reshape(len(self), -1)
         gram = flat.conj() @ flat.T
@@ -356,3 +358,32 @@ def build_error_basis(gate: GateSpec) -> ErrorBasis:
     stack = u @ _pauli_products(flat >> n, flat & ((1 << n) - 1), n)
     stack[0] = u
     return ErrorBasis(gate, _frozen(stack))
+
+
+def orthogonality_residual(gate: GateSpec) -> float:
+    """Max deviation of Tr{U_a^dag U_b} from 2**n delta_ab over the gate's error basis, without building it.
+
+    With U_a = u00 P_a, P_a = Z**z X**x for a = (z << n) + x, and
+    E = u00^dag u00 - I,
+
+        Tr{U_a^dag U_b} - 2**n delta_ab = Tr{P_a^dag E P_b} = Tr{E P_b P_a^dag},
+
+    since U_a^dag U_b = P_a^dag (I + E) P_b and Tr{P_a^dag P_b} = 2**n delta_ab.
+    Phase and bit flips commute up to a sign, so P_b P_a^dag = +-P_c with c
+    the mask-wise XOR of a and b, a real sign.  Each deviation is therefore +-Tr{P_c E}, and every c occurs
+    (a = 0, b = c), so the worst entry of the dense Gram matrix minus 2**n I,
+    which ``ErrorBasis.gram_residual`` computes, is max_c |Tr{P_c E}|.
+
+    With (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r),
+    Tr{P_c E} = sum_s (-1)**popcount(z & s) E[s ^ x, s]: the Walsh-Hadamard
+    transform over s of the gathered G[s, x] = E[s ^ x, s], one product with
+    ``_walsh_signs``.  That costs O(8**n) time and O(4**n) memory, against
+    the 4**n x 4**n Gram matrix of the 4**n dense operators.
+    """
+    n = gate.n_qubits
+    d = 1 << n
+    u = gate.u00
+    error = u.conj().T @ u - np.eye(d)
+    rows = np.arange(d)[:, np.newaxis]
+    traces = _walsh_signs(n) @ error[rows ^ rows.T, rows]
+    return float(np.max(np.abs(traces)))

@@ -47,9 +47,9 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Certification reads only the 4**N-entry diagonal of the process matrix, but
-# the full process matrix written by --include-chi and the dense error basis
-# built by basis-check (4**N operators of size 2**N) both hold 16**N complex
-# entries.  Six qubits (16.8 million entries, 268 MB each) is the largest
+# Certification reads only the 4**N-entry diagonal of the process matrix,
+# sampling only its entry chi_00, and basis-check works on the 2**N x 2**N
+# u^dag u, but the full process matrix written by --include-chi holds 16**N
+# complex entries.  Six qubits (16.8 million entries, 268 MB) is the largest
 # configuration that stays desk-friendly.
 MAX_QUBITS = 6

@@ -133,7 +133,10 @@ def dense_chi(kraus, unitary):
     kraus = np.asarray(kraus)
     d = kraus.shape[-1]
     n_qubits = d.bit_length() - 1
-    basis = np.stack([unitary @ pauli_product(a >> n_qubits, a % d, n_qubits) for a in range(d * d)])
+    # each Z**z and X**x is built once; operator (z, x) is (u Z**z) @ X**x
+    phases = np.stack([unitary @ pauli_product(z, 0, n_qubits) for z in range(d)])
+    flips = np.stack([pauli_product(0, x, n_qubits) for x in range(d)])
+    basis = (phases[:, np.newaxis] @ flips).reshape(d * d, d, d)
     coeffs = np.einsum("aij,mij->ma", basis.conj(), kraus, optimize=True) / d
     return coeffs.T @ coeffs.conj()
 

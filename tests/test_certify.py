@@ -17,6 +17,7 @@ from gatecert.core import (
 )
 from gatecert.certify import (
     _input_frame,
+    _is_ghz_chain_3,
     _require_diagonal_identity,
     CAPABILITY_THRESHOLD,
     VIOLATION_THRESHOLD,
@@ -35,6 +36,7 @@ from gatecert.certify import (
     violation_verdict,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
+from gatecert.tolerances import TOL
 from _oracles import allocation_peak, dense_chi, haar_unitary, product_inputs, transfer_probabilities
 
 CNOT = np.array(
@@ -577,3 +579,21 @@ def test_violation_verdict_is_strict():
     assert not violation_verdict(1.0, 0.75)  # average exactly at the line
     with pytest.raises(ValueError):
         violation_verdict(1.1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "offset, expected",
+    [(0.0, True), (0.9 * TOL.gate_match, True), (0.9j * TOL.gate_match, True),
+     (1.1 * TOL.gate_match, False), (-1.1j * TOL.gate_match, False)],
+)
+def test_ghz_chain_match_holds_up_to_gate_match(offset, expected):
+    # entry (0, 1) of the chain is zero, so the entry-wise distance is |offset|
+    u = ghz_chain_gate(3).u00.copy()
+    u[0, 1] += offset
+    assert _is_ghz_chain_3(GateSpec(3, u)) is expected
+
+
+def test_ghz_chain_match_rejects_other_gates():
+    assert not _is_ghz_chain_3(GateSpec.from_matrix(haar_unitary(np.random.default_rng(33), 8)))
+    assert not _is_ghz_chain_3(GateSpec.identity(3))
+    assert not _is_ghz_chain_3(ghz_chain_gate(4))

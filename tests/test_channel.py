@@ -4,6 +4,7 @@ import pytest
 from gatecert.channel import (
     Channel,
     _check_error_distribution,
+    _chi_00,
     _chi_diagonal,
     _completeness_residual,
     _error_coefficients,
@@ -227,9 +228,10 @@ def test_broken_transform_fails_the_unit_trace_check(monkeypatch):
 
     monkeypatch.setattr(channel_module, "_walsh_signs", skewed_signs)
     channel, gate = random_cptp(2, rank=3, seed=1), GateSpec.identity(2)
-    with pytest.raises(ValueError, match="unit trace"):
+    # a validated channel can fail only through a bug: ConsistencyError, not the ValueError of bad input
+    with pytest.raises(ConsistencyError, match="unit trace"):
         _chi_diagonal(channel, gate)
-    with pytest.raises(ValueError, match="unit trace"):
+    with pytest.raises(ConsistencyError, match="unit trace"):
         kraus_to_chi(channel, gate)
 
 
@@ -246,10 +248,55 @@ def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
     monkeypatch.setattr(channel_module, "_walsh_signs", poisoned_signs)
     channel, gate = random_cptp(2, rank=3, seed=1), GateSpec.identity(2)
     assert np.isnan(np.concatenate(list(_error_coefficients(channel, gate)), axis=1)).any()
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
         _chi_diagonal(channel, gate)
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ConsistencyError, match="Hermitian"):
         kraus_to_chi(channel, gate)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec("depolarizing_global", 0.13),
+        NoiseSpec("dephasing_per_qubit", 0.13),
+        NoiseSpec("bitflip_per_qubit", 0.13),
+        NoiseSpec("random_cptp", rank=3, seed=9),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_chi_00_is_entry_0_of_the_chi_diagonal(n_qubits, spec):
+    rng = np.random.default_rng(700 + n_qubits)
+    gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
+    channel = noisy_gate(gate, spec)
+    assert abs(_chi_00(channel, gate) - _chi_diagonal(channel, gate)[0]) <= 1e-14
+
+
+def test_chi_00_allocates_nothing_of_the_stack_size():
+    # n = 5 full rank: a 16 MB stack, whose m traces and vec(conj(u00)) are
+    # 16 KiB each; the full diagonal would also transform the stack block by block
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(75), 32))
+    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    operator_bytes = gate.u00.nbytes
+    _, peak = allocation_peak(lambda: _chi_00(channel, gate))
+    assert peak <= 3 * operator_bytes, peak / operator_bytes
+    assert channel.kraus_ops.nbytes == 1024 * operator_bytes
+
+
+@pytest.mark.parametrize("scale", [1.01, np.nan])
+def test_chi_00_outside_the_unit_interval_is_a_consistency_error(scale):
+    # only a broken invariant can push the Cauchy-Schwarz-bounded value out of
+    # [0, 1]; the check must also catch NaN
+    gate = GateSpec.identity(2)
+    channel = Channel(2, gate.u00[np.newaxis])
+    object.__setattr__(channel, "kraus_ops", scale * channel.kraus_ops)
+    with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
+        _chi_00(channel, gate)
+
+
+def test_chi_00_checks_the_qubit_counts():
+    with pytest.raises(ValueError, match="qubit"):
+        _chi_00(random_cptp(2, rank=2, seed=1), GateSpec.identity(3))
 
 
 def test_error_distribution_check_rejects_nan():

@@ -23,7 +23,7 @@ from gatecert.cli import (
     report_from_dict,
     report_to_dict,
 )
-from gatecert.core import GateSpec
+from gatecert.core import GateSpec, build_error_basis
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
 from _oracles import allocation_peak, haar_unitary
@@ -160,6 +160,49 @@ def test_basis_check_passes_for_small_gates(capsys):
     out = capsys.readouterr().out
     assert "operators: 64" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+def test_basis_check_prints_the_dense_gram_lines(capsys, n_qubits):
+    # the three lines the dense basis and its Gram matrix gave, byte for byte
+    basis = build_error_basis(ghz_chain_gate(n_qubits))
+    expected = f"operators: {len(basis)}\nmax orthogonality residual: {basis.gram_residual():.6e}\nPASS\n"
+    assert main(["basis-check", "--gate", "ghz-chain", "--qubits", str(n_qubits)]) == 0
+    assert capsys.readouterr().out == expected
+    assert expected.splitlines()[1] == "max orthogonality residual: 0.000000e+00"
+
+
+def test_basis_check_fails_a_gate_that_passes_the_unitarity_check(tmp_path, capsys):
+    # u^dag u = diag(1 + 3e-11 (-1)**s_0): every row residual is 3e-11, within
+    # TOL.unitarity, but Tr(Z_0 E) = 8 * 3e-11 = 2.4e-10 exceeds TOL.orthogonality
+    sign = 1.0 - 2.0 * (np.arange(8) >> 2)
+    matrix = np.diag(np.sqrt(1.0 + 3e-11 * sign))
+    gate = GateSpec.from_matrix(matrix)
+    assert build_error_basis(gate).gram_residual() == pytest.approx(2.4e-10, rel=1e-6)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix_to_pairs(matrix)}}))
+    assert main(["basis-check", "--config", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "operators: 64"
+    assert float(lines[1].rpartition(": ")[2]) == pytest.approx(2.4e-10, rel=1e-6)
+    assert lines[2] == "FAIL"
+
+
+def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys):
+    import gatecert.channel as channel_module
+
+    signs = channel_module._walsh_signs
+
+    def skewed_signs(n_qubits):
+        table = signs(n_qubits)
+        table[1, 0] = 0.0
+        return table
+
+    monkeypatch.setattr(channel_module, "_walsh_signs", skewed_signs)
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2", "--noise", "depolarizing_global:0.1")
+    assert code == 2
+    assert doc is None
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_basis_check_over_capacity(capsys):

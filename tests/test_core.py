@@ -16,9 +16,11 @@ from gatecert.core import (
     build_error_basis,
     complementary_ket,
     computational_ket,
+    orthogonality_residual,
 )
+from gatecert.certify import ghz_chain_gate
 from gatecert.tolerances import MAX_QUBITS, TOL
-from _oracles import gram_residual, haar_unitary, pauli_product
+from _oracles import allocation_peak, gram_residual, haar_unitary, pauli_product
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -181,6 +183,53 @@ def test_gram_residual_matches_the_pairwise_traces(n_qubits):
     assert perturbed.gram_residual() == pytest.approx(gram_residual(ops), rel=1e-12)
     exact = build_error_basis(gate)
     assert exact.gram_residual() == pytest.approx(gram_residual(exact.operators), abs=1e-13)
+
+
+def _residual_gates(n_qubits):
+    """Haar, identity, ghz-chain (n >= 2) and two off-unitary gates that GateSpec accepts."""
+    rng = np.random.default_rng(90 + n_qubits)
+    d = 2**n_qubits
+    haar = haar_unitary(rng, d)
+    # u^dag u = diag(1 + delta): an E of at most 3e-11, below TOL.unitarity
+    delta = rng.uniform(-3e-11, 3e-11, d)
+    sign = 1.0 - 2.0 * ((np.arange(d) >> (n_qubits - 1)) & 1)
+    gates = [
+        GateSpec.from_matrix(haar),
+        GateSpec.identity(n_qubits),
+        GateSpec.from_matrix(haar * np.sqrt(1.0 + delta)),
+        GateSpec.from_matrix(np.diag(np.sqrt(1.0 + 3e-11 * sign))),
+    ]
+    return gates + ([ghz_chain_gate(n_qubits)] if n_qubits >= 2 else [])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_orthogonality_residual_matches_the_pairwise_traces(n_qubits):
+    d = 2**n_qubits
+    for gate in _residual_gates(n_qubits):
+        ops = np.stack([gate.u00 @ pauli_product(a >> n_qubits, a % d, n_qubits) for a in range(d * d)])
+        assert orthogonality_residual(gate) == pytest.approx(gram_residual(ops), rel=1e-6, abs=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_orthogonality_residual_matches_the_dense_gram(n_qubits):
+    for gate in _residual_gates(n_qubits):
+        dense = build_error_basis(gate).gram_residual()
+        assert orthogonality_residual(gate) == pytest.approx(dense, rel=1e-6, abs=1e-13)
+        assert (orthogonality_residual(gate) < TOL.orthogonality) == (dense < TOL.orthogonality)
+
+
+def test_orthogonality_residual_is_exactly_zero_for_permutation_gates():
+    for n_qubits in range(2, MAX_QUBITS + 1):
+        assert orthogonality_residual(ghz_chain_gate(n_qubits)) == 0.0
+
+
+def test_orthogonality_residual_builds_no_basis():
+    # at n = 6 the dense basis and its Gram matrix hold 4**6 operators each
+    # (268 MB); the closed form holds a few 2**6 x 2**6 operators
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(96), 64))
+    residual, peak = allocation_peak(lambda: orthogonality_residual(gate))
+    assert residual < TOL.orthogonality
+    assert peak <= 6 * gate.u00.nbytes, peak / gate.u00.nbytes
 
 
 def test_basis_operator_lookup():
