@@ -14,6 +14,13 @@ unitary u00, stated over the gate-relative process matrix chi:
   capability (certified when (fz + fx)/2 > 3/4), and for three qubits a
   floor of 8 chi_00 - 4 on a four-term three-party correlation whose
   classical ceiling is 2 (violation certified when (fz + fx)/2 > 7/8).
+
+``certify`` checks the first fact on every run: the 2**(n+1) - 1 diagonal
+entries it needs, the phase-only column and the bit-only row that share
+chi_00, come from ``channel._transfer_entries``, and their sums must match
+fz and fx from the basis-state sweeps, which never read chi.  The phase
+column goes through the Walsh sign table and the fz sweep does not; the fx
+sweep's Hadamard frame is that table and the bit row does not read it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channel import Channel, _chi_diagonal, apply_channel
+from .channel import Channel, _transfer_entries, apply_channel
 from .core import (
     ConsistencyError,
     DensityMatrix,
@@ -216,11 +223,10 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     return table, float(np.mean(table.probabilities))
 
 
-def _require_diagonal_identity(fz: float, fx: float, diag: np.ndarray) -> tuple[float, float]:
-    """Compare fz and fx with the phase-only and bit-only sums of the chi diagonal."""
-    d = math.isqrt(diag.size)
-    residual_z = abs(fz - float(np.sum(diag[::d])))
-    residual_x = abs(fx - float(np.sum(diag[:d])))
+def _require_diagonal_identity(fz: float, fx: float, phase: np.ndarray, bit: np.ndarray) -> tuple[float, float]:
+    """Compare fz and fx with the sums of the phase-only column and the bit-only row of the chi diagonal."""
+    residual_z = abs(fz - float(np.sum(phase)))
+    residual_x = abs(fx - float(np.sum(bit)))
     if not (residual_z <= TOL.diagonal_identity and residual_x <= TOL.diagonal_identity):
         raise ConsistencyError(
             "transfer fidelities disagree with the process-matrix diagonal sums: "
@@ -372,16 +378,18 @@ def _assemble_report(
 def certify(channel: Channel, gate: GateSpec) -> FidelityReport:
     """Run the full two-basis certification of a channel against its target gate.
 
-    Decomposes the channel into its process matrix, simulates both transfer
-    fidelities (cross-checking the diagonal identities on the way), and
-    assembles the bounds and verdicts into a report.  For the 3-qubit
-    entangling chain the report also carries the measured three-party
-    correlation and its fidelity floor.  The decomposition runs first so an
-    over-capacity gate fails fast instead of after the basis-state sweeps.
-    Only the chi diagonal is computed: its entry 0 is the process fidelity.
+    Computes the 2**(n+1) - 1 process-matrix entries the certificate reads
+    (``channel._transfer_entries``: the phase-only column, the bit-only row
+    and chi_00, which they share), simulates both transfer fidelities,
+    cross-checks the diagonal identities, and assembles the bounds and
+    verdicts into a report.  For the 3-qubit entangling chain the report also
+    carries the measured three-party correlation and its fidelity floor.  The
+    entries are computed first so an over-capacity gate fails fast instead of
+    after the basis-state sweeps.  The process fidelity is entry 0 of the
+    phase column; the full 4**n-entry diagonal is never formed.
     """
-    diag = _chi_diagonal(channel, gate)
+    phase, bit = _transfer_entries(channel, gate)
     _, fz = classical_fidelity(channel, gate, "z")
     _, fx = classical_fidelity(channel, gate, "x")
-    _require_diagonal_identity(fz, fx, diag)
-    return _assemble_report(channel, gate, float(diag[0]), fz, fx)
+    _require_diagonal_identity(fz, fx, phase, bit)
+    return _assemble_report(channel, gate, float(phase[0]), fz, fx)

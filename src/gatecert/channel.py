@@ -21,8 +21,16 @@ The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
 +-1, integer sums), so S inverts the transform exactly and no run rebuilds G
 to check it; the tests check the identity.  A wrong sign or normalization
 still breaks Parseval: the error probabilities must sum to
-Tr(sum_m K_m^dag K_m) / 2**n = 1, and a diagonal that does not is a bug,
-reported as ConsistencyError.
+Tr(sum_m K_m^dag K_m) / 2**n = 1, and a process matrix whose diagonal does
+not is a bug, reported as ConsistencyError.
+
+Certification reads only the phase-only column chi_{(z,0),(z,0)} and the
+bit-only row chi_{(0,x),(0,x)} of that diagonal, 2**(n+1) - 1 entries that
+share chi_{0,0}.  ``_transfer_entries`` computes just those, the column in
+O(m 4**n) through the sign table and the row in O(m 8**n) without it, and
+never transforms the whole stack; it checks that both give the same
+chi_{0,0}, that every entry lies in [0, 1] and that each partial sum is at
+most 1.
 """
 
 from __future__ import annotations
@@ -218,20 +226,100 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     return map(transform, _kraus_blocks(channel.rank, d))
 
 
-def _chi_diagonal(channel: Channel, gate: GateSpec) -> np.ndarray:
-    """The error probabilities chi_{a,a} = sum_m |c_{m,a}|^2, without the full process matrix.
+def _bit_frame_index(d: int, rows: int) -> np.ndarray:
+    """Gather index of a frame chunk: entry ((t, s), x) reads row t, column s ^ x of ``rows`` flattened matrix rows.
 
-    Row a of the float64 view of a block's C^T holds the real and imaginary
-    parts of that block's c_{m,a}, so each block adds one sum of squares per
-    row.
+    Applied to the flattened rows t0 .. t0 + rows of conj(u00), it lays out
+    conj(u00 X**x)[t, s] = conj(u00)[t, s ^ x] for every x as one
+    (rows 2**n x 2**n) matrix, row (t, s) and column x.  Since x < 2**n, the
+    flat source t 2**n + (s ^ x) is (t 2**n + s) ^ x.
     """
-    blocks = _error_coefficients(channel, gate)
-    diag = np.zeros(1 << (2 * gate.n_qubits))
-    for coeffs_t in blocks:
-        parts = coeffs_t.view(np.float64)
-        diag += np.einsum("ak,ak->a", parts, parts)
-    _check_error_distribution(diag, complex(np.sum(diag)), ConsistencyError)
-    return diag
+    return np.arange(rows * d)[:, np.newaxis] ^ np.arange(d)
+
+
+def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-only column chi_{(z,0)} and the bit-only row chi_{(0,x)}: the 2**(n+1) - 1 entries certify reads.
+
+    Phase column: Tr{(u00 Z**z)^dag K_m} = sum_s S[z, s] diag(u00^dag K_m)[s]
+    with S the Walsh sign table, and diag(u00^dag K_m)[s] =
+    sum_t conj(u00[t, s]) K_m[t, s] is one O(m 4**n) contraction of the stack
+    in place, so the m x 2**n diagonals are multiplied once by S.
+
+    Bit row, read without the Walsh table: Tr{(u00 X**x)^dag K_m} is the inner
+    product of the flattened K_m with the frame vec(conj(u00 X**x)), an XOR
+    gather of conj(u00)'s columns.  The rows t of the stack are walked in the
+    slices of ``core._kraus_blocks(2**n, 2**n)``: a slice's frames hold as
+    many entries as that many operators, so each frame chunk stays within
+    64 KiB, and each slice adds one product of the (m x 4**n) stack view's
+    columns with its chunk.  The frames hold 8**n entries whatever m is, so
+    a stack of fewer than 2**(n-1) operators spread over several chunks
+    takes the other order instead: it forms u00^dag K_m, as many operators
+    at a time as a frame chunk has rows, and sums the XOR diagonals
+    Tr{(u00 X**x)^dag K_m} = sum_s (u00^dag K_m)[s ^ x, s].  Its own range
+    loop walks the operators, not the ``_kraus_blocks(m, 2**n)`` slices of
+    the transfer sweeps, so a slicing bug cannot drop the same operators on
+    both sides of the fx identity.
+
+    Both columns give chi_00.  Every entry must lie in [0, 1], the two values
+    of chi_00 must agree within ``TOL.chi_diagonal``, and each of the two
+    partial sums must be at most 1.  A validated channel fails these checks
+    only through a bug, NaN included, so they raise ConsistencyError.  No
+    array of the stack's size is made: the largest are a few m x 2**n arrays
+    and one 64 KiB chunk.
+    """
+    n = _check_pair(channel, gate)
+    d = 1 << n
+    u = gate.u00
+    kraus = channel.kraus_ops
+    m = kraus.shape[0]
+
+    # Row 0 collects sum_m |c|^2 for the phase column, row 1 for the bit row.
+    weights = np.empty((2, d), dtype=np.complex128)
+    phase_coeffs = np.vecdot(u, kraus, axis=-2) @ _walsh_signs(n).T
+    np.vecdot(phase_coeffs, phase_coeffs, axis=0, out=weights[0])
+
+    # 2**n and the slice length are powers of two, so every slice holds the same number of rows.
+    chunks = _kraus_blocks(d, d)
+    rows_per_chunk = chunks[0].stop
+    if 2 * m < d and len(chunks) > 1:
+        # The frames would cost more than the stack they read.
+        s = np.arange(d)[:, np.newaxis]
+        xor_diagonals = (s ^ s.T) * d + s  # row s, column x: flat (s ^ x, s)
+        u_dag = u.conj().T
+        bit_coeffs = np.empty((m, d), dtype=np.complex128)
+        for start in range(0, m, rows_per_chunk):
+            products = (u_dag @ kraus[start : start + rows_per_chunk]).reshape(-1, d * d)
+            gathered = np.take(products, xor_diagonals, axis=1, mode="clip")
+            np.sum(gathered, axis=1, out=bit_coeffs[start : start + rows_per_chunk])
+    else:
+        flat = kraus.reshape(m, d * d)
+        u_conj = u.conj().reshape(d * d)
+        index = _bit_frame_index(d, rows_per_chunk)
+        frame = np.empty(index.shape, dtype=np.complex128)
+        bit_coeffs = None
+        for rows in chunks:
+            lo, hi = rows.start * d, rows.stop * d
+            # The index lies in range by construction; "clip" skips the bounds check.
+            np.take(u_conj[lo:hi], index, out=frame, mode="clip")
+            if bit_coeffs is None:
+                bit_coeffs = flat[:, lo:hi] @ frame
+            else:
+                # The spent phase coefficients, also m x 2**n, hold each later product.
+                bit_coeffs += np.matmul(flat[:, lo:hi], frame, out=phase_coeffs)
+    np.vecdot(bit_coeffs, bit_coeffs, axis=0, out=weights[1])
+
+    entries = weights.real / (d * d)
+    phase, bit = entries
+    low, high = float(entries.min()), float(entries.max())
+    if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
+        raise ConsistencyError(f"phase-only and bit-only error probabilities must lie in [0, 1]: min {low!r}, max {high!r}")
+    gap = abs(float(phase[0]) - float(bit[0]))
+    if not gap <= TOL.chi_diagonal:
+        raise ConsistencyError(f"the phase and bit routes to chi_00 differ by {gap:.3e}; the decomposition is broken")
+    total = float(entries.sum(axis=1).max())
+    if not total <= 1.0 + TOL.chi_trace:
+        raise ConsistencyError(f"phase-only or bit-only error probabilities sum to {total!r}, above 1")
+    return phase, bit
 
 
 def _chi_00(channel: Channel, gate: GateSpec) -> float:

@@ -183,3 +183,17 @@ def allocation_peak(fn):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def swap_in_the_x_1_bit_frame(monkeypatch):
+    """Make the certify path's bit row gather the x = 1 frame in place of x = 0, so its chi_00 reads chi_{(0,1)}."""
+    import gatecert.channel as channel_module
+
+    index = channel_module._bit_frame_index
+
+    def corrupted(d, rows):
+        table = index(d, rows)
+        table[:, 0] = table[:, 1]
+        return table
+
+    monkeypatch.setattr(channel_module, "_bit_frame_index", corrupted)

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gatecert.channel import Channel, _chi_diagonal, apply_channel, kraus_to_chi, process_fidelity
+from gatecert.channel import Channel, _transfer_entries, apply_channel, kraus_to_chi, process_fidelity
 from gatecert.core import (
     _kraus_blocks,
     CapacityError,
@@ -213,9 +213,9 @@ def test_diagonal_identity_residuals_are_tiny():
         ch_raw = random_cptp(2, rank=1 + seed % 16, seed=seed)
         ch = Channel(2, ch_raw.kraus_ops @ gate.u00)
         report = certify(ch, gate)
-        diag = _chi_diagonal(ch, gate)
-        assert abs(report.fz - diag[::4].sum()) < 1e-12
-        assert abs(report.fx - diag[:4].sum()) < 1e-12
+        phase, bit = _transfer_entries(ch, gate)
+        assert abs(report.fz - phase.sum()) < 1e-12
+        assert abs(report.fx - bit.sum()) < 1e-12
 
 
 def test_fidelity_bounds_values():
@@ -353,12 +353,30 @@ def test_certify_rejects_a_transfer_fidelity_off_the_chi_diagonal(monkeypatch):
         certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.1)), gate)
 
 
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+def test_certify_runs_no_coefficient_transform(monkeypatch, n_qubits):
+    # certify reads the phase-only column and the bit-only row alone; the
+    # Walsh transform of the whole stack serves kraus_to_chi only
+    channel_module = importlib.import_module("gatecert.channel")
+    gate = ghz_chain_gate(n_qubits)
+    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.1))
+    expected = certify(channel, gate)
+
+    def refuse(*args):
+        raise AssertionError("the Kraus stack was transformed")
+
+    monkeypatch.setattr(channel_module, "_error_coefficients", refuse)
+    with pytest.raises(AssertionError, match="transformed"):
+        kraus_to_chi(channel, gate)
+    assert certify(channel, gate) == expected
+
+
 @pytest.mark.parametrize("fz,fx", [(np.nan, 0.25), (0.25, np.nan), (np.nan, np.nan)])
 def test_diagonal_identity_rejects_nan_fidelities(fz, fx):
-    diag = np.full(16, 1.0 / 16)  # phase-only and bit-only sums are both 1/4
-    assert _require_diagonal_identity(0.25, 0.25, diag) == (0.0, 0.0)
+    entries = np.full(4, 1.0 / 16)  # phase-only and bit-only sums are both 1/4
+    assert _require_diagonal_identity(0.25, 0.25, entries, entries) == (0.0, 0.0)
     with pytest.raises(ConsistencyError, match="diagonal sums"):
-        _require_diagonal_identity(fz, fx, diag)
+        _require_diagonal_identity(fz, fx, entries, entries)
 
 
 def _full_rank_depolarized_haar_gate():
@@ -382,7 +400,10 @@ def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, ran
     kraus, u = channel.kraus_ops, gate.u00
     chi = dense_chi(kraus, u)
     assert np.max(np.abs(kraus_to_chi(channel, gate).entries - chi)) < 1e-12
-    assert np.max(np.abs(_chi_diagonal(channel, gate) - np.diagonal(chi).real)) < 1e-12
+    phase, bit = _transfer_entries(channel, gate)
+    d = 2**n_qubits
+    assert np.max(np.abs(phase - np.diagonal(chi).real[::d])) < 1e-12
+    assert np.max(np.abs(bit - np.diagonal(chi).real[:d])) < 1e-12
     for basis in ("z", "x"):
         table, _ = classical_fidelity(channel, gate, basis)
         expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))

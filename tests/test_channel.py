@@ -5,9 +5,9 @@ from gatecert.channel import (
     Channel,
     _check_error_distribution,
     _chi_00,
-    _chi_diagonal,
     _completeness_residual,
     _error_coefficients,
+    _transfer_entries,
     ChiMatrix,
     apply_channel,
     error_probabilities,
@@ -34,6 +34,7 @@ from _oracles import (
     haar_unitary,
     random_density,
     superoperator,
+    swap_in_the_x_1_bit_frame,
 )
 
 I2 = np.eye(2)
@@ -190,11 +191,12 @@ def test_chi_expansion_reproduces_the_channel_action(n_qubits, n_channels):
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 def test_structured_chi_matches_the_dense_basis_oracle(n_qubits):
     # the full matrix, off-diagonal phases included, and the certify-path
-    # diagonal against c = Tr(U_a^dag K) / 2**n over an explicit basis; this
-    # is the test-time guard on the transform, which no run re-inverts.  At
-    # n = 5 and 6 one low-rank and one per-qubit channel keep the oracle
-    # cheap, and at n = 6 only the diagonal is compared, through an oracle
-    # that holds 2**6 basis operators at a time instead of all 4**6
+    # phase-only column and bit-only row against c = Tr(U_a^dag K) / 2**n over
+    # an explicit basis; this is the test-time guard on the transform, which
+    # no run re-inverts.  At n = 5 and 6 one low-rank and one per-qubit
+    # channel keep the oracle cheap, and at n = 6 only the diagonal is
+    # compared, through an oracle that holds 2**6 basis operators at a time
+    # instead of all 4**6
     rng = np.random.default_rng(300 + n_qubits)
     if n_qubits <= 4:
         specs = [NoiseSpec("random_cptp", rank=r, seed=s) for r, s in ((1, 5), (3, 6), (8, 7)) if r <= 4**n_qubits]
@@ -211,13 +213,19 @@ def test_structured_chi_matches_the_dense_basis_oracle(n_qubits):
                 reference = dense_chi(ch.kraus_ops, gate.u00)
                 assert np.max(np.abs(kraus_to_chi(ch, gate).entries - reference)) < 1e-12
                 diagonal = np.diagonal(reference).real
-            assert np.max(np.abs(_chi_diagonal(ch, gate) - diagonal)) < 1e-12
+            phase, bit = _transfer_entries(ch, gate)
+            d = 2**n_qubits
+            assert np.max(np.abs(phase - diagonal[::d])) < 1e-12
+            assert np.max(np.abs(bit - diagonal[:d])) < 1e-12
 
 
 def test_broken_transform_fails_the_unit_trace_check(monkeypatch):
     # by Parseval the error probabilities sum to Tr(sum K^dag K) / 2**n = 1
-    # only for a correct transform; one zeroed sign breaks that sum
+    # only for a correct transform; one zeroed sign breaks that sum.  The
+    # certify path reads no full diagonal: there the phase-only column the
+    # same sign feeds no longer sums to fz
     import gatecert.channel as channel_module
+    from gatecert.certify import certify
 
     signs = channel_module._walsh_signs
 
@@ -230,9 +238,9 @@ def test_broken_transform_fails_the_unit_trace_check(monkeypatch):
     channel, gate = random_cptp(2, rank=3, seed=1), GateSpec.identity(2)
     # a validated channel can fail only through a bug: ConsistencyError, not the ValueError of bad input
     with pytest.raises(ConsistencyError, match="unit trace"):
-        _chi_diagonal(channel, gate)
-    with pytest.raises(ConsistencyError, match="unit trace"):
         kraus_to_chi(channel, gate)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(channel, gate)
 
 
 def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
@@ -249,7 +257,7 @@ def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
     channel, gate = random_cptp(2, rank=3, seed=1), GateSpec.identity(2)
     assert np.isnan(np.concatenate(list(_error_coefficients(channel, gate)), axis=1)).any()
     with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
-        _chi_diagonal(channel, gate)
+        _transfer_entries(channel, gate)
     with pytest.raises(ConsistencyError, match="Hermitian"):
         kraus_to_chi(channel, gate)
 
@@ -269,7 +277,44 @@ def test_chi_00_is_entry_0_of_the_chi_diagonal(n_qubits, spec):
     rng = np.random.default_rng(700 + n_qubits)
     gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
     channel = noisy_gate(gate, spec)
-    assert abs(_chi_00(channel, gate) - _chi_diagonal(channel, gate)[0]) <= 1e-14
+    phase, bit = _transfer_entries(channel, gate)
+    assert abs(_chi_00(channel, gate) - phase[0]) <= 1e-14
+    assert abs(_chi_00(channel, gate) - bit[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("rank", [1, 15, 16, 17])
+def test_both_bit_row_orders_match_the_dense_oracle(rank):
+    # at n = 5 a stack of fewer than 16 operators forms u00^dag K_m, a few
+    # operators at a time; from 16 on, the XOR-gathered frames multiply it
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(90 + rank), 32))
+    channel = random_cptp(5, rank, seed=rank)
+    diagonal = dense_chi_diagonal(channel.kraus_ops, gate.u00)
+    phase, bit = _transfer_entries(channel, gate)
+    assert np.max(np.abs(phase - diagonal[::32])) < 1e-12
+    assert np.max(np.abs(bit - diagonal[:32])) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5])
+def test_a_corrupted_bit_frame_fails_the_two_route_chi_00_check(monkeypatch, n_qubits):
+    # n = 5 walks the stack rows in eight frame chunks, n = 2 in one
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(80 + n_qubits), 2**n_qubits))
+    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    _transfer_entries(channel, gate)
+    swap_in_the_x_1_bit_frame(monkeypatch)
+    with pytest.raises(ConsistencyError, match="routes to chi_00"):
+        _transfer_entries(channel, gate)
+
+
+def test_transfer_entries_stay_at_a_few_coefficient_arrays():
+    # n = 5 full rank: the 16 MB stack is read in place; the phase diagonals,
+    # their Walsh coefficients and the bit coefficients are m x 2**n arrays of
+    # 512 KiB, one of which is reused, and each frame chunk is 64 KiB
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(76), 32))
+    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    coefficient_bytes = channel.rank * 32 * 16
+    _, peak = allocation_peak(lambda: _transfer_entries(channel, gate))
+    assert peak <= 3 * coefficient_bytes, peak / coefficient_bytes
+    assert channel.kraus_ops.nbytes == 32 * coefficient_bytes
 
 
 def test_chi_00_allocates_nothing_of_the_stack_size():

@@ -26,7 +26,7 @@ from gatecert.cli import (
 from gatecert.core import GateSpec, build_error_basis
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
-from _oracles import allocation_peak, haar_unitary
+from _oracles import allocation_peak, haar_unitary, swap_in_the_x_1_bit_frame
 
 # below the floor, at the floor, and signed zeros in both parts
 DUSTY = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
@@ -203,6 +203,14 @@ def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_pat
     assert code == 2
     assert doc is None
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_a_corrupted_bit_frame_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys):
+    swap_in_the_x_1_bit_frame(monkeypatch)
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3", "--noise", "depolarizing_global:0.1")
+    assert code == 2
+    assert doc is None
+    assert "routes to chi_00" in capsys.readouterr().err
 
 
 def test_basis_check_over_capacity(capsys):

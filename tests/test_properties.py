@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecert.certify import certify, classical_fidelity
-from gatecert.channel import _chi_diagonal, _completeness_residual, kraus_to_chi
+from gatecert.channel import _completeness_residual, _transfer_entries, kraus_to_chi
 from gatecert.core import GateSpec
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from _oracles import (
@@ -26,8 +26,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def gates_and_channels(draw):
-    n_qubits = draw(st.integers(1, 4))
+def gates_and_channels(draw, max_qubits=4):
+    n_qubits = draw(st.integers(1, max_qubits))
     rank = draw(st.integers(1, 4**n_qubits))
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(draw(SEEDS)), 2**n_qubits))
     return gate, random_cptp(n_qubits, rank, draw(SEEDS))
@@ -40,8 +40,10 @@ def test_certify_path_matches_the_references(drawn, distortion_seed):
     n_qubits, kraus, u = gate.n_qubits, channel.kraus_ops, gate.u00
 
     chi = dense_chi(kraus, u)
-    diag = _chi_diagonal(channel, gate)
-    assert np.max(np.abs(diag - np.diagonal(chi).real)) < 1e-12
+    d = 2**n_qubits
+    phase, bit = _transfer_entries(channel, gate)
+    assert np.max(np.abs(phase - np.diagonal(chi).real[::d])) < 1e-12
+    assert np.max(np.abs(bit - np.diagonal(chi).real[:d])) < 1e-12
 
     for basis in ("z", "x"):
         table, _ = classical_fidelity(channel, gate, basis)
@@ -62,6 +64,19 @@ def test_certify_path_matches_the_references(drawn, distortion_seed):
     assert report.f_process_exact <= min(report.fz, report.fx) + 1e-12
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(gates_and_channels(max_qubits=3))
+def test_transfer_entries_are_the_phase_column_and_bit_row_of_kraus_to_chi(drawn):
+    # the frame-product bit row and the Walsh phase column against the
+    # diagonal of the full coefficient transform
+    gate, channel = drawn
+    d = 2**gate.n_qubits
+    diag = np.diagonal(kraus_to_chi(channel, gate).entries).real
+    phase, bit = _transfer_entries(channel, gate)
+    assert np.max(np.abs(phase - diag[::d])) <= 1e-14
+    assert np.max(np.abs(bit - diag[:d])) <= 1e-14
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
     # ChiMatrix runs no eigendecomposition: chi = C^T (C^T)^dag gives
@@ -80,9 +95,10 @@ def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
 
 @pytest.mark.parametrize("n_qubits", [5, 6])
 def test_diagonal_identities_and_sandwich_hold_at_five_and_six_qubits(n_qubits):
-    # fz and fx come from state propagation, the chi diagonal from the Walsh
-    # transform; the phase-only column and the bit-only row of that diagonal
-    # must reproduce them, and chi_00 must lie in [fz + fx - 1, min(fz, fx)]
+    # fz and fx come from state propagation; the phase-only column of the chi
+    # diagonal from the Walsh transform and its bit-only row from the XOR
+    # gathered frames must reproduce them, and chi_00 must lie in
+    # [fz + fx - 1, min(fz, fx)]
     rng = np.random.default_rng(500 + n_qubits)
     d = 2**n_qubits
     gate = GateSpec.from_matrix(haar_unitary(rng, d))
@@ -92,9 +108,9 @@ def test_diagonal_identities_and_sandwich_hold_at_five_and_six_qubits(n_qubits):
         specs.append(NoiseSpec("depolarizing_global", 0.2))
     for spec in specs:
         channel = noisy_gate(gate, spec)
-        diag = _chi_diagonal(channel, gate)
+        phase, bit = _transfer_entries(channel, gate)
         fz = classical_fidelity(channel, gate, "z")[1]
         fx = classical_fidelity(channel, gate, "x")[1]
-        assert abs(fz - np.sum(diag[::d])) < 1e-12
-        assert abs(fx - np.sum(diag[:d])) < 1e-12
-        assert fz + fx - 1.0 - 1e-12 <= diag[0] <= min(fz, fx) + 1e-12
+        assert abs(fz - np.sum(phase)) < 1e-12
+        assert abs(fx - np.sum(bit)) < 1e-12
+        assert fz + fx - 1.0 - 1e-12 <= phase[0] <= min(fz, fx) + 1e-12
