@@ -227,7 +227,7 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
 
 
 def _bit_frame_index(d: int, rows: int) -> np.ndarray:
-    """Gather index of a frame chunk: entry ((t, s), x) reads row t, column s ^ x of ``rows`` flattened matrix rows.
+    """Gather index of a frame chunk: entry ((t, s), x) reads row t, column s ^ x of ``rows`` matrix rows.
 
     Applied to the flattened rows t0 .. t0 + rows of conj(u00), it lays out
     conj(u00 X**x)[t, s] = conj(u00)[t, s ^ x] for every x as one
@@ -260,12 +260,12 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
     the transfer sweeps, so a slicing bug cannot drop the same operators on
     both sides of the fx identity.
 
-    Both columns give chi_00.  Every entry must lie in [0, 1], the two values
-    of chi_00 must agree within ``TOL.chi_diagonal``, and each of the two
-    partial sums must be at most 1.  A validated channel fails these checks
-    only through a bug, NaN included, so they raise ConsistencyError.  No
-    array of the stack's size is made: the largest are a few m x 2**n arrays
-    and one 64 KiB chunk.
+    The column and the row both hold chi_00.  Every entry must lie in
+    [0, 1], the two values of chi_00 must agree within ``TOL.chi_diagonal``,
+    and each of the two partial sums must be at most 1.  A validated channel
+    fails these checks only through a bug, NaN included, so they raise
+    ConsistencyError.  No array of the stack's size is made: the largest are
+    a few m x 2**n arrays and one 64 KiB chunk.
     """
     n = _check_pair(channel, gate)
     d = 1 << n
@@ -296,26 +296,27 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
         u_conj = u.conj().reshape(d * d)
         index = _bit_frame_index(d, rows_per_chunk)
         frame = np.empty(index.shape, dtype=np.complex128)
-        bit_coeffs = None
+        bit_coeffs = np.zeros((m, d), dtype=np.complex128)
         for rows in chunks:
             lo, hi = rows.start * d, rows.stop * d
             # The index lies in range by construction; "clip" skips the bounds check.
             np.take(u_conj[lo:hi], index, out=frame, mode="clip")
-            if bit_coeffs is None:
-                bit_coeffs = flat[:, lo:hi] @ frame
-            else:
-                # The spent phase coefficients, also m x 2**n, hold each later product.
-                bit_coeffs += np.matmul(flat[:, lo:hi], frame, out=phase_coeffs)
+            # The spent phase coefficients, also m x 2**n, hold each product.
+            bit_coeffs += np.matmul(flat[:, lo:hi], frame, out=phase_coeffs)
     np.vecdot(bit_coeffs, bit_coeffs, axis=0, out=weights[1])
 
     entries = weights.real / (d * d)
     phase, bit = entries
     low, high = float(entries.min()), float(entries.max())
     if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
-        raise ConsistencyError(f"phase-only and bit-only error probabilities must lie in [0, 1]: min {low!r}, max {high!r}")
+        raise ConsistencyError(
+            f"phase-only and bit-only error probabilities must lie in [0, 1]: min {low!r}, max {high!r}"
+        )
     gap = abs(float(phase[0]) - float(bit[0]))
     if not gap <= TOL.chi_diagonal:
-        raise ConsistencyError(f"the phase and bit routes to chi_00 differ by {gap:.3e}; the decomposition is broken")
+        raise ConsistencyError(
+            f"the phase and bit routes to chi_00 differ by {gap:.3e}; the decomposition is broken"
+        )
     total = float(entries.sum(axis=1).max())
     if not total <= 1.0 + TOL.chi_trace:
         raise ConsistencyError(f"phase-only or bit-only error probabilities sum to {total!r}, above 1")

@@ -47,9 +47,9 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Certification reads only the 4**N-entry diagonal of the process matrix,
-# sampling only its entry chi_00, and basis-check works on the 2**N x 2**N
-# u^dag u, but the full process matrix written by --include-chi holds 16**N
-# complex entries.  Six qubits (16.8 million entries, 268 MB) is the largest
+# Certification reads only 2**(N+1) - 1 diagonal entries of the process
+# matrix (its phase-only column and bit-only row), sampling only its entry
+# chi_00, and basis-check works on the 2**N x 2**N u^dag u, but the full
+# process matrix written by --include-chi holds 16**N complex entries.  Six qubits (16.8 million entries, 268 MB) is the largest
 # configuration that stays desk-friendly.
 MAX_QUBITS = 6
