@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channel import Channel, _transfer_entries, apply_channel
+from .channel import Channel, _check_pair, _transfer_entries, apply_channel
 from .core import (
     ConsistencyError,
     DensityMatrix,
@@ -39,9 +39,9 @@ from .core import (
     Ket,
     PAULI_X,
     PAULI_Y,
+    _check_qubit_count,
     _frozen,
     _kraus_blocks,
-    _require_capacity,
     _walsh_signs,
 )
 from .tolerances import TOL
@@ -200,13 +200,10 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     (m x 2**n) array that is squared and summed once.  The mean over the 2**n
     inputs is the transfer fidelity for that basis.
     """
-    if channel.n_qubits != gate.n_qubits:
-        raise ValueError(
-            f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
-        )
+    n = _check_pair(channel, gate)
     kraus = channel.kraus_ops
     m, d, _ = kraus.shape
-    frame = None if basis == "z" else _input_frame(gate.n_qubits, basis)
+    frame = None if basis == "z" else _input_frame(n, basis)
     u = gate.u00
     targets_conj = (u if frame is None else u @ frame).conj()
     weights = np.empty((m, d))
@@ -269,7 +266,7 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
     """
     if n_qubits < 2:
         raise ValueError(f"the entangling chain needs at least 2 qubits, got {n_qubits!r}")
-    _require_capacity(n_qubits)
+    _check_qubit_count(n_qubits)
     return GateSpec(n_qubits, _ghz_chain_unitary(n_qubits), name="ghz-chain")
 
 
@@ -384,9 +381,8 @@ def certify(channel: Channel, gate: GateSpec) -> FidelityReport:
     cross-checks the diagonal identities, and assembles the bounds and
     verdicts into a report.  For the 3-qubit entangling chain the report also
     carries the measured three-party correlation and its fidelity floor.  The
-    entries are computed first so an over-capacity gate fails fast instead of
-    after the basis-state sweeps.  The process fidelity is entry 0 of the
-    phase column; the full 4**n-entry diagonal is never formed.
+    process fidelity is entry 0 of the phase column; the full 4**n-entry
+    diagonal is never formed.
     """
     phase, bit = _transfer_entries(channel, gate)
     _, fz = classical_fidelity(channel, gate, "z")

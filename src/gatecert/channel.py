@@ -50,7 +50,6 @@ from .core import (
     _identity_residual,
     _kraus_blocks,
     _readonly,
-    _require_capacity,
     _walsh_signs,
 )
 from .tolerances import TOL
@@ -113,20 +112,6 @@ class Channel:
         return self.kraus_ops.shape[0]
 
 
-def _check_error_distribution(diag: np.ndarray, trace: complex, error=ValueError) -> None:
-    """Raise ``error`` for a process-matrix diagonal outside [0, 1] or a trace other than 1, or NaN.
-
-    A matrix a caller hands to ``ChiMatrix`` fails with ValueError; the
-    library's own decomposition of a validated channel can fail only through
-    a bug, so its callers pass ConsistencyError.
-    """
-    low, high = float(np.min(diag)), float(np.max(diag))
-    if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
-        raise error("process-matrix diagonal entries must lie in [0, 1]")
-    if not abs(trace - 1.0) <= TOL.chi_trace:
-        raise error(f"process matrix must have unit trace, got {trace!r}")
-
-
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix of a channel relative to a target gate.
@@ -136,8 +121,10 @@ class ChiMatrix:
     positive semidefinite and has unit trace; its diagonal is the error
     probability distribution.
 
-    Construction checks the hermiticity, one block of rows at a time, the
-    diagonal and the trace, which also reject NaN and infinite entries.
+    Construction checks the diagonal and the trace in O(4**n), so a NaN or
+    infinite diagonal entry fails the [0, 1] check, and then the hermiticity,
+    one block of rows at a time, which rejects NaN and infinite entries
+    anywhere else.
     Positivity is not re-checked by an eigendecomposition: the library builds
     a ChiMatrix only in ``kraus_to_chi``, as the Gram matrix
     chi = C^T (C^T)^dag of the coefficient matrix, so for every vector v,
@@ -153,16 +140,21 @@ class ChiMatrix:
         q = 1 << (2 * self.gate.n_qubits)
         if mat.shape != (q, q):
             raise ValueError(f"expected a {q} x {q} process matrix, got shape {mat.shape}")
+        diag = np.diagonal(mat)
+        low, high = float(np.min(diag.real)), float(np.max(diag.real))
+        if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
+            raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
+        if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
+            raise ValueError("process-matrix diagonal has a non-real entry")
+        trace = complex(np.trace(mat))
+        if not abs(trace - 1.0) <= TOL.chi_trace:
+            raise ValueError(f"process matrix must have unit trace, got {trace!r}")
         # A row of chi holds 4**n = (2**n)**2 entries, as many as one Kraus
         # operator, so the Kraus blocks bound each row block to 64 KiB.
         for rows in _kraus_blocks(q, 1 << self.gate.n_qubits):
             herm = float(np.max(np.abs(mat[rows] - mat[:, rows].T.conj())))
             if not herm <= TOL.chi_hermiticity:
                 raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
-        diag = np.diagonal(mat)
-        if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
-            raise ValueError("process-matrix diagonal has a non-real entry")
-        _check_error_distribution(diag.real, complex(np.trace(mat)))
         object.__setattr__(self, "entries", mat)
 
 
@@ -185,12 +177,11 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _check_pair(channel: Channel, gate: GateSpec) -> int:
-    """The common qubit count of ``channel`` and ``gate``, within capacity, or ValueError."""
+    """The common qubit count of ``channel`` and ``gate``, or ValueError."""
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
             f"channel acts on {channel.n_qubits} qubit(s) but the gate has {gate.n_qubits}"
         )
-    _require_capacity(gate.n_qubits)
     return gate.n_qubits
 
 
@@ -198,10 +189,10 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     """C_b^T, the 4**n x b coefficient matrix of each block of Kraus operators, lazily.
 
     Row a, column k of a block holds c_{m,a} for the block's k-th operator m.
-    The qubit counts and the capacity are checked at once; the blocks of
-    ``core._kraus_blocks`` are then transformed one at a time as the returned
-    iterator is read, so every temporary stays within one block.  Each block
-    runs the Walsh-Hadamard transform of the module docstring.
+    The qubit counts are checked at once; the blocks of ``core._kraus_blocks``
+    are then transformed one at a time as the returned iterator is read, so
+    every temporary stays within one block.  Each block runs the
+    Walsh-Hadamard transform of the module docstring.
 
     The gather lays a block's G out as one 2**n x (2**n b) matrix, row s and
     column (x, m), so the transform is a single product with the real sign

@@ -1,18 +1,20 @@
 """Command-line front end and the JSON report format.
 
-Three subcommands:
+Three subcommands, each taking only the flags it reads:
 
 * ``certify``: run the two-basis certification (exact or sampled) and write
-  a JSON report.
+  a JSON report; all nine flags.
 * ``basis-check``: verify the orthogonality of the chosen gate's error
   basis, printing the worst residual of its Gram matrix; the residual comes
   in closed form from u00^dag u00 (``core.orthogonality_residual``), so the
-  4**n-operator basis is never built.
-* ``sample``: shorthand for a sampled certification run.
+  4**n-operator basis is never built.  Only ``--gate``, ``--qubits`` and
+  the gate settings of ``--config``.
+* ``sample``: a sampled certification run; every flag but ``--mode``.
 
 Exit codes: 0 on success, 1 on invalid input (malformed JSON, a non-unitary
-gate matrix, a qubit count over capacity, bad flags), 2 when an internal
-consistency check trips, which indicates a bug rather than a bad invocation.
+gate matrix, a qubit count over capacity, a flag the subcommand does not
+take), 2 when an internal consistency check trips, which indicates a bug
+rather than a bad invocation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .channel import Channel, ChiMatrix, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
-from .core import ConsistencyError, GateSpec, _kraus_blocks, _require_capacity, orthogonality_residual
+from .core import ConsistencyError, GateSpec, _kraus_blocks, orthogonality_residual
 from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
 from .tolerances import TOL
@@ -60,6 +62,17 @@ _ZERO_PAIR = "[0.0, 0.0]"
 
 _BUILTIN_GATES = {"ghz-chain": ghz_chain_gate}
 
+# The FidelityReport fields a document carries, in document order, and whether
+# ``report_from_dict`` requires them.  The last two, the standard errors, are
+# written only for a sampled report, after "provenance".
+_REPORT_FIELDS = (
+    ("fz", True), ("fx", True), ("f_process_exact", True),
+    ("lower_bound", True), ("upper_bound", True),
+    ("capability_bound", True), ("capability_certified", True),
+    ("ghz_expectation", False), ("ghz_floor", False), ("violation_certified", True),
+    ("fz_std_error", False), ("fx_std_error", False),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -90,21 +103,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the three subcommands; ``main`` reuses one built at import."""
+    """A new parser for the three subcommands, each with only its own flags; ``main`` reuses one built at import."""
     parser = _Parser(prog="gatecert", description="Certify noisy gates from two classical fidelities.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("certify", "run the two-basis certification and write a JSON report"),
-        ("basis-check", "verify orthogonality of the error basis for a gate, without building it"),
-        ("sample", "run a finite-shot certification and write a JSON report"),
+    certify_cmd, basis_cmd, sample_cmd = (
+        sub.add_parser(name, help=help_text)
+        for name, help_text in (
+            ("certify", "run the two-basis certification and write a JSON report"),
+            ("basis-check", "verify orthogonality of the error basis for a gate, without building it"),
+            ("sample", "run a finite-shot certification and write a JSON report"),
+        )
     )
-    for name, help_text in specs:
-        cmd = sub.add_parser(name, help=help_text)
+    for cmd in (certify_cmd, basis_cmd, sample_cmd):
         cmd.add_argument("--gate", help='builtin gate name (registry: "ghz-chain")')
         cmd.add_argument("--qubits", type=int, help="qubit count for a builtin gate")
+        cmd.add_argument(
+            "--config", help="path to a JSON config supplying gate/noise/run settings (basis-check reads the gate only)"
+        )
+    for cmd in (certify_cmd, sample_cmd):
         cmd.add_argument("--noise", help="noise as kind:p, e.g. depolarizing_global:0.1")
-        cmd.add_argument("--config", help="path to a JSON config supplying gate/noise/run settings")
-        cmd.add_argument("--mode", choices=("exact", "sampled"), help="certification mode")
         cmd.add_argument("--shots", type=int, help="shots per input state in sampled mode")
         cmd.add_argument("--seed", type=int, help="seed for sampled runs")
         cmd.add_argument("--output", help='report destination path, or "-" for stdout')
@@ -113,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="embed the serialized process matrix in the report",
         )
+    certify_cmd.add_argument("--mode", choices=("exact", "sampled"), help="certification mode")
     return parser
 
 
@@ -200,10 +218,7 @@ def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -
         if "builtin" not in entry:
             if "matrix" not in entry:
                 raise ValueError("config gate entry must contain 'builtin' or 'matrix'")
-            matrix = pairs_to_matrix(entry["matrix"])
-            # size first: the unitarity check in GateSpec costs O(8**n)
-            _require_capacity(matrix.shape[0].bit_length() - 1)
-            return GateSpec.from_matrix(matrix, name=entry.get("name"))
+            return GateSpec.from_matrix(pairs_to_matrix(entry["matrix"]), name=entry.get("name"))
         name = entry["builtin"]
     builder = _BUILTIN_GATES.get(name)
     if builder is None:
@@ -239,7 +254,7 @@ def _noise_from_entry(entry) -> NoiseSpec:
 
 
 def run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Merge a JSON config (if any) with command-line flags; flags win."""
+    """Merge a JSON config (if any) with command-line flags; flags win.  ``basis-check`` reads only the gate."""
     settings = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as handle:
@@ -247,16 +262,15 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(settings, dict):
             raise ValueError("config file must contain a JSON object")
     gate = _gate_from_settings(settings.get("gate"), args.gate, args.qubits)
+    if args.command == "basis-check":
+        return RunConfig(gate=gate)
     if args.noise is not None:
         noise = _noise_from_flag(args.noise)
     elif settings.get("noise") is not None:
         noise = _noise_from_entry(settings["noise"])
     else:
         noise = None
-    default_mode = "sampled" if args.command == "sample" else "exact"
-    mode = args.mode or settings.get("mode") or default_mode
-    if args.command == "sample":
-        mode = "sampled"
+    mode = "sampled" if args.command == "sample" else args.mode or settings.get("mode") or "exact"
     shots = args.shots if args.shots is not None else settings.get("shots")
     seed = args.seed if args.seed is not None else settings.get("seed", 0)
     output = args.output if args.output is not None else settings.get("output", "-")
@@ -288,20 +302,12 @@ def _noise_json(spec: NoiseSpec | None):
 def report_to_dict(report: FidelityReport, gate: GateSpec, noise: NoiseSpec | None) -> dict:
     """Flatten a report into the JSON document schema."""
     label = report.provenance
+    values = [(key, getattr(report, key)) for key, _ in _REPORT_FIELDS]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "gate": {"name": gate.name, "qubits": gate.n_qubits},
         "noise": _noise_json(noise),
-        "fz": report.fz,
-        "fx": report.fx,
-        "f_process_exact": report.f_process_exact,
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "capability_bound": report.capability_bound,
-        "capability_certified": report.capability_certified,
-        "ghz_expectation": report.ghz_expectation,
-        "ghz_floor": report.ghz_floor,
-        "violation_certified": report.violation_certified,
+        **dict(values[:-2]),
         "provenance": {
             "fz": label,
             "fx": label,
@@ -309,8 +315,7 @@ def report_to_dict(report: FidelityReport, gate: GateSpec, noise: NoiseSpec | No
         },
     }
     if report.provenance == "sampled":
-        doc["fz_std_error"] = report.fz_std_error
-        doc["fx_std_error"] = report.fx_std_error
+        doc.update(values[-2:])
         doc["counts"] = {
             basis: {str(n): int(c) for n, c in sorted(per_basis.items())}
             for basis, per_basis in report.counts.items()
@@ -320,7 +325,6 @@ def report_to_dict(report: FidelityReport, gate: GateSpec, noise: NoiseSpec | No
 
 def report_from_dict(doc: dict) -> FidelityReport:
     """Rebuild a FidelityReport from a parsed JSON document."""
-    provenance = doc["provenance"]["fz"]
     counts = None
     if doc.get("counts") is not None:
         counts = {
@@ -328,19 +332,8 @@ def report_from_dict(doc: dict) -> FidelityReport:
             for basis, per_basis in doc["counts"].items()
         }
     return FidelityReport(
-        fz=doc["fz"],
-        fx=doc["fx"],
-        f_process_exact=doc["f_process_exact"],
-        lower_bound=doc["lower_bound"],
-        upper_bound=doc["upper_bound"],
-        capability_bound=doc["capability_bound"],
-        capability_certified=doc["capability_certified"],
-        violation_certified=doc["violation_certified"],
-        ghz_expectation=doc.get("ghz_expectation"),
-        ghz_floor=doc.get("ghz_floor"),
-        provenance=provenance,
-        fz_std_error=doc.get("fz_std_error"),
-        fx_std_error=doc.get("fx_std_error"),
+        **{key: doc[key] if required else doc.get(key) for key, required in _REPORT_FIELDS},
+        provenance=doc["provenance"]["fz"],
         counts=counts,
     )
 

@@ -41,7 +41,13 @@ __all__ = [
 
 
 class CapacityError(ValueError):
-    """Requested qubit count exceeds the configured maximum."""
+    """Requested qubit count exceeds MAX_QUBITS.
+
+    ``_check_qubit_count`` raises it, as the first check of every value type
+    (``Ket``, ``DensityMatrix``, ``GateSpec``, ``Channel``) and of the
+    builders that size an array from a qubit count, so nothing larger than
+    MAX_QUBITS qubits is ever constructed or allocated.
+    """
 
 
 class ConsistencyError(RuntimeError):
@@ -76,8 +82,14 @@ def _readonly(values, dtype=np.complex128) -> np.ndarray:
 
 
 def _check_qubit_count(n_qubits) -> int:
+    """``n_qubits`` as an int: ValueError unless a positive integer, CapacityError above MAX_QUBITS."""
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(
+            f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
+            f"the full process matrix would hold {1 << (4 * n_qubits)} complex entries"
+        )
     return int(n_qubits)
 
 
@@ -89,15 +101,6 @@ def _mask_bit(mask: int, qubit: int, n_qubits: int) -> int:
 def _identity_residual(gram: np.ndarray) -> float:
     """Largest absolute row sum of gram - I; for Hermitian gram it bounds |<psi|gram|psi> - 1| for unit psi."""
     return float(np.max(np.sum(np.abs(gram - np.eye(gram.shape[0])), axis=1)))
-
-
-def _require_capacity(n_qubits: int) -> None:
-    """Raise CapacityError for more than MAX_QUBITS qubits, before anything is allocated."""
-    if n_qubits > MAX_QUBITS:
-        raise CapacityError(
-            f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
-            f"the full process matrix would hold {1 << (4 * n_qubits)} complex entries"
-        )
 
 
 @dataclass(frozen=True)
@@ -348,11 +351,10 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=Non
 def build_error_basis(gate: GateSpec) -> ErrorBasis:
     """Stack all 4**n gate-relative error operators u00 @ Pi(i, j).
 
-    Raises CapacityError when the gate acts on more than MAX_QUBITS qubits,
-    since the stack holds 4**n dense matrices of size 2**n.
+    The stack holds 4**n dense matrices of size 2**n; a GateSpec has at most
+    MAX_QUBITS qubits, so that size is bounded.
     """
     n = gate.n_qubits
-    _require_capacity(n)
     flat = np.arange(1 << (2 * n))
     u = gate.u00
     stack = u @ _pauli_products(flat >> n, flat & ((1 << n) - 1), n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks, _pauli_products, _require_capacity
+from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks, _pauli_products
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
 
@@ -99,7 +99,7 @@ def _noise_kraus(
     kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0, right=None
 ) -> np.ndarray:
     """A fresh, frozen Kraus stack of one noise family (each N_k @ ``right`` if given), not yet validated."""
-    _require_capacity(_check_qubit_count(n_qubits))
+    _check_qubit_count(n_qubits)
     if kind == "depolarizing_global":
         return _frozen(_depolarizing_global(strength, n_qubits, right))
     if kind == "dephasing_per_qubit":

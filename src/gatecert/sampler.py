@@ -72,16 +72,14 @@ class FidelityEstimate:
 def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> FidelityEstimate:
     """Simulate M shots per basis input and pool them into one estimate.
 
-    Inputs are visited in index order with a single generator seeded from the
-    plan, so a given (channel, gate, plan) triple always produces identical
-    counts.
+    All inputs are drawn in one call, in index order, from a single generator
+    seeded from the plan, so a given (channel, gate, plan) triple always
+    produces identical counts.
     """
     table, _ = classical_fidelity(channel, gate, plan.basis)
     rng = np.random.default_rng(plan.seed)
     shots = plan.shots_per_input
-    counts: dict[int, int] = {}
-    for n, prob in enumerate(table.probabilities):
-        counts[n] = int(rng.binomial(shots, float(prob)))
+    counts = dict(enumerate(rng.binomial(shots, table.probabilities).tolist()))
     total = shots * len(counts)
     pooled = sum(counts.values()) / total
     std_error = float(np.sqrt(pooled * (1.0 - pooled) / total))

@@ -445,6 +445,42 @@ def test_flag_misuse_exits_with_invalid_input_code():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis-check", "--include-chi"],
+        ["basis-check", "--output", "report.json"],
+        ["basis-check", "--mode", "sampled"],
+        ["basis-check", "--noise", "depolarizing_global:0.1"],
+        ["basis-check", "--shots", "100"],
+        ["sample", "--mode", "exact", "--noise", "depolarizing_global:0.1", "--shots", "100", "--output", "report.json"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--gate", "ghz-chain", "--qubits", "2", *argv[1:]])
+    assert info.value.code == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"noise": {"kind": "amplitude_damping", "p": 0.1}}, {"mode": "sampled"}],
+    ids=["unknown-noise", "sampled-without-shots"],
+)
+def test_basis_check_reads_only_the_gate_settings_of_a_config(tmp_path, capsys, settings):
+    assert main(["basis-check", "--gate", "ghz-chain", "--qubits", "3"]) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 3}, **settings}))
+    assert main(["basis-check", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == 3
+
+
 def test_build_parser_returns_a_new_parser_each_call():
     assert build_parser() is not build_parser()
 
@@ -514,3 +550,30 @@ def test_every_library_name_the_benchmark_replay_uses_exists():
     assert {owner for owner, _ in used} == {"gc", "cli"}
     missing = sorted(f"{owner}.{name}" for owner, name in used if not hasattr(modules[owner], name))
     assert missing == []
+
+
+def test_the_benchmark_replay_resolves_every_cli_request_shape(tmp_path):
+    # perfbench/worker.py replays each valid CLI request through
+    # build_parser().parse_args(argv) and run_config_from_args, then reads the
+    # gate, mode, shots and include_chi back; one argv of each shape it sends
+    noise = {"kind": "random_cptp", "rank": 3, "seed": 5}
+    sample_config = tmp_path / "sample.json"
+    sample_config.write_text(json.dumps(
+        {"gate": {"builtin": "ghz-chain", "qubits": 4}, "noise": noise, "shots": 200, "seed": 9}
+    ))
+    haar_config = tmp_path / "haar.json"
+    haar = matrix_to_pairs(haar_unitary(np.random.default_rng(3), 4))
+    haar_config.write_text(json.dumps({"gate": {"matrix": haar, "name": "haar"}, "noise": noise}))
+    flags = ["--gate", "ghz-chain", "--qubits", "3", "--noise", "dephasing_per_qubit:0.1"]
+    cases = [
+        (["certify", *flags, "--include-chi", "--output", "chi.json"], (3, "exact", None, True)),
+        (["sample", *flags, "--shots", "200", "--seed", "7", "--output", "s.json"], (3, "sampled", 200, False)),
+        (["sample", "--config", str(sample_config), "--output", "c.json"], (4, "sampled", 200, False)),
+        (["certify", "--config", str(haar_config), "--output", "h.json"], (2, "exact", None, False)),
+        (["basis-check", "--gate", "ghz-chain", "--qubits", "4"], (4, "exact", None, False)),
+    ]
+    for argv, expected in cases:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        config = cli.run_config_from_args(args)
+        assert (config.gate.n_qubits, config.mode, config.shots, config.include_chi) == expected

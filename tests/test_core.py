@@ -19,6 +19,7 @@ from gatecert.core import (
     orthogonality_residual,
 )
 from gatecert.certify import ghz_chain_gate
+from gatecert.channel import Channel
 from gatecert.tolerances import MAX_QUBITS, TOL
 from _oracles import allocation_peak, gram_residual, haar_unitary, pauli_product
 
@@ -241,6 +242,28 @@ def test_basis_operator_lookup():
 def test_basis_capacity_limit():
     with pytest.raises(CapacityError):
         build_error_basis(GateSpec.identity(7))
+
+
+OVER = MAX_QUBITS + 1
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(lambda: GateSpec.identity(OVER), id="GateSpec.identity"),
+        pytest.param(lambda: GateSpec.from_matrix(np.eye(1 << OVER)), id="GateSpec.from_matrix"),
+        # the placeholder arrays are never read: the qubit count is checked first
+        pytest.param(lambda: GateSpec(OVER, np.eye(2)), id="GateSpec"),
+        pytest.param(lambda: Channel(OVER, np.eye(2)[np.newaxis]), id="Channel"),
+        pytest.param(lambda: Ket(OVER, np.ones(1)), id="Ket"),
+        pytest.param(lambda: DensityMatrix(OVER, np.eye(1)), id="DensityMatrix"),
+        pytest.param(lambda: computational_ket(0, OVER), id="computational_ket"),
+        pytest.param(lambda: complementary_ket(0, OVER), id="complementary_ket"),
+    ],
+)
+def test_every_constructor_refuses_a_qubit_count_over_capacity(construct):
+    with pytest.raises(CapacityError, match="maximum"):
+        construct()
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
