@@ -191,30 +191,49 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     Input n of the chosen product basis succeeds with probability
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
-    columns of one frame matrix.  The complementary sweep walks the Kraus stack
-    in the blocks of ``core._kraus_blocks``: each block's K_m @ frame comes
-    from one product of its vertically stacked operators with the frame.  The
-    computational frame is the identity, so there the propagated columns are
-    the Kraus operators themselves, the ideal images are the columns of u00,
-    and no product is taken.  The amplitudes |<t_n| K_m |psi_n>| go into one
-    (m x 2**n) array that is squared and summed once.  The mean over the 2**n
-    inputs is the transfer fidelity for that basis.
+    columns of one frame matrix.  The amplitudes <t_n| K_m |psi_n> go into one
+    (m x 2**n) array that is squared and summed once, and the mean over the
+    2**n inputs is the transfer fidelity for that basis.
+
+    The computational frame is the identity, so there the propagated columns
+    are the Kraus operators themselves, the ideal images are the columns of
+    u00, and one ``einsum`` reads the stack in place.  The complementary sweep
+    takes one of two routes, picked by the Kraus rank m; both do m * 8**n
+    multiply-adds and read the stack once:
+
+    * m >= 2**(n+2): each amplitude is the inner product of vec(K_m) with
+      vec(|t_n><psi_n|), so all of them are one product of the stack, read in
+      place as an (m x 4**n) matrix, with the (4**n x 2**n) frame
+      W[(t, s), n] = conj(t_n[t]) psi_n[s].  W holds 8**n entries, and
+      building it is the route's only cost beyond the product; from this
+      rank on the stack holds at least four times as many, and the one
+      well-shaped product beats the block loop below.
+    * below that rank W would cost more than it saves, so the stack is taken
+      in the blocks of ``core._kraus_blocks``: each block's K_m @ frame comes
+      from one product of its vertically stacked operators with the frame, and
+      is contracted with the ideal images column by column.
+
+    Both routes build the frame from ``_input_frame``, the Walsh sign table
+    that the bit-only row of ``channel._transfer_entries`` never reads, so a
+    broken frame on either route still fails the fx identity in ``certify``.
     """
     n = _check_pair(channel, gate)
     kraus = channel.kraus_ops
     m, d, _ = kraus.shape
-    frame = None if basis == "z" else _input_frame(n, basis)
-    u = gate.u00
-    targets_conj = (u if frame is None else u @ frame).conj()
-    weights = np.empty((m, d))
-    # The computational sweep reads the stack in place and makes no stack-sized
-    # temporary, so it takes the whole stack as one block.
-    blocks = [slice(0, m)] if frame is None else _kraus_blocks(m, d)
-    for block in blocks:
-        outputs = kraus[block]
-        if frame is not None:
-            outputs = (outputs.reshape(-1, d) @ frame).reshape(outputs.shape)
-        np.abs(np.einsum("in,min->mn", targets_conj, outputs), out=weights[block])
+    if basis == "z":
+        amplitudes = np.einsum("in,min->mn", gate.u00.conj(), kraus)
+    else:
+        frame = _input_frame(n, basis)
+        targets = gate.u00 @ frame
+        if m >= 4 * d:
+            window = (targets.conj()[:, np.newaxis, :] * frame).reshape(d * d, d)
+            amplitudes = kraus.reshape(m, d * d) @ window
+        else:
+            amplitudes = np.empty((m, d), dtype=np.complex128)
+            for block in _kraus_blocks(m, d):
+                outputs = (kraus[block].reshape(-1, d) @ frame).reshape(-1, d, d)
+                amplitudes[block] = np.vecdot(targets, outputs, axis=-2)
+    weights = np.abs(amplitudes)
     weights **= 2
     table = TransferTable(basis, np.sum(weights, axis=0))
     return table, float(np.mean(table.probabilities))

@@ -19,7 +19,7 @@ arrays; operations on them are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -296,13 +296,15 @@ def complementary_ket(index: int, n_qubits: int) -> Ket:
     return Ket(n, reduce(np.kron, factors))
 
 
+@cache
 def _walsh_signs(n_qubits: int) -> np.ndarray:
     """The 2**n x 2**n sign table (-1)**popcount(z & r), row z, column r.
 
     Row z holds the diagonal of the phase product Z**z; as a matrix the table
     is the unnormalized Walsh-Hadamard transform, its own inverse up to 2**n.
     The parity of z & r is folded onto bit 0 by XOR: after the shifts
-    1, 2, ..., 2**k, bit 0 holds the parity of the low 2**(k+1) bits.
+    1, 2, ..., 2**k, bit 0 holds the parity of the low 2**(k+1) bits.  Each
+    table is built once per n and shared read-only.
     """
     index = np.arange(1 << n_qubits)
     parity = index[:, np.newaxis] & index
@@ -310,7 +312,7 @@ def _walsh_signs(n_qubits: int) -> np.ndarray:
     while shift < n_qubits:
         parity ^= parity >> shift
         shift <<= 1
-    return 1.0 - 2.0 * (parity & 1)
+    return _frozen(1.0 - 2.0 * (parity & 1))
 
 
 # Every stage that walks a Kraus stack takes it in blocks of at most this many

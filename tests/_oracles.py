@@ -5,6 +5,7 @@ package's own decomposition code, so that agreement between the two is a
 meaningful check rather than a tautology.
 """
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,21 @@ def allocation_peak(fn):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def skew_the_complementary_frame(monkeypatch):
+    """Zero entry (1, 0) of the fx sweep's Hadamard frame, on either route of ``classical_fidelity``."""
+    # the package's certify function shadows its certify module as an attribute
+    certify_module = importlib.import_module("gatecert.certify")
+    frame_of = certify_module._input_frame
+
+    def skewed(n_qubits, basis):
+        frame = frame_of(n_qubits, basis).copy()
+        if basis == "x":
+            frame[1, 0] = 0.0
+        return frame
+
+    monkeypatch.setattr(certify_module, "_input_frame", skewed)
 
 
 def swap_in_the_x_1_bit_frame(monkeypatch):

@@ -37,7 +37,14 @@ from gatecert.certify import (
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.tolerances import TOL
-from _oracles import allocation_peak, dense_chi, haar_unitary, product_inputs, transfer_probabilities
+from _oracles import (
+    allocation_peak,
+    dense_chi,
+    haar_unitary,
+    product_inputs,
+    skew_the_complementary_frame,
+    transfer_probabilities,
+)
 
 CNOT = np.array(
     [
@@ -389,12 +396,15 @@ def _full_rank_depolarized_haar_gate():
 BLOCK_BOUNDARY_CASES = [(4, 15), (4, 16), (4, 17), (5, 3), (5, 4), (5, 5)] + [
     (n, rank) for n in range(1, 5) for rank in (1, 4**n)
 ]
+# The last rank of the complementary sweep's per-operator route and the first
+# of its frame route, 2**(n+2) - 1 and 2**(n+2).
+ROUTE_BOUNDARY_CASES = [(n, (1 << (n + 2)) + step) for n in (3, 4, 5) for step in (-1, 0)]
 
 
-@pytest.mark.parametrize("n_qubits,rank", BLOCK_BOUNDARY_CASES)
+@pytest.mark.parametrize("n_qubits,rank", BLOCK_BOUNDARY_CASES + ROUTE_BOUNDARY_CASES)
 def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, rank):
     block = _kraus_blocks(rank, 2**n_qubits)[0]
-    assert block.stop == min(rank, {4: 16, 5: 4}.get(n_qubits, rank))
+    assert block.stop == min(rank, {3: 64, 4: 16, 5: 4}.get(n_qubits, rank))
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(40 + rank), 2**n_qubits))
     channel = random_cptp(n_qubits, rank, seed=n_qubits * 1000 + rank)
     kraus, u = channel.kraus_ops, gate.u00
@@ -408,6 +418,8 @@ def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, ran
         table, _ = classical_fidelity(channel, gate, basis)
         expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))
         assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    _, fx = classical_fidelity(channel, gate, "x")
+    assert abs(fx - float(np.sum(bit))) < 1e-12
 
 
 def test_certify_stays_within_its_allocation_budget():
@@ -420,13 +432,36 @@ def test_certify_stays_within_its_allocation_budget():
 
 
 def test_complementary_sweep_streams_the_kraus_stack():
-    # each block is propagated through the frame on its own, so no propagated
-    # copy of the whole stack is made
+    # full rank takes the frame route: one product of the stack, read in
+    # place, with the (4**n x 2**n) frame, so no propagated copy is made
     channel, gate = _full_rank_depolarized_haar_gate()
     (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
     expected = transfer_probabilities(channel.kraus_ops, gate.u00, product_inputs(4, "x"))
     assert np.max(np.abs(table.probabilities - expected)) < 1e-12
     assert peak <= 0.25 * channel.kraus_ops.nbytes
+
+
+def test_per_operator_complementary_sweep_streams_the_kraus_stack():
+    # one rank below the frame route each block is propagated through the
+    # frame on its own, so no propagated copy of the whole stack is made
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(9), 32))
+    channel = random_cptp(5, 127, seed=5127)
+    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
+    expected = transfer_probabilities(channel.kraus_ops, gate.u00, product_inputs(5, "x"))
+    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert peak <= 0.25 * channel.kraus_ops.nbytes
+
+
+@pytest.mark.parametrize("rank", [31, 32])
+def test_a_skewed_complementary_frame_fails_the_bit_row_identity(monkeypatch, rank):
+    # ranks 31 and 32 at n=3 take the per-operator and the frame route; the
+    # bit-only row never reads the frame, so it catches a broken one on both
+    gate = ghz_chain_gate(3)
+    channel = noisy_gate(gate, NoiseSpec("random_cptp", rank=rank, seed=rank))
+    certify(channel, gate)
+    skew_the_complementary_frame(monkeypatch)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(channel, gate)
 
 
 def test_computational_sweep_reads_the_kraus_stack_in_place():

@@ -229,7 +229,7 @@ def test_broken_transform_fails_the_unit_trace_check(monkeypatch):
     signs = channel_module._walsh_signs
 
     def skewed_signs(n_qubits):
-        table = signs(n_qubits)
+        table = signs(n_qubits).copy()
         table[1, 0] = 0.0
         return table
 
@@ -248,7 +248,7 @@ def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
     signs = channel_module._walsh_signs
 
     def poisoned_signs(n_qubits):
-        table = signs(n_qubits)
+        table = signs(n_qubits).copy()
         table[1, 0] = np.nan
         return table
 

@@ -26,7 +26,7 @@ from gatecert.cli import (
 from gatecert.core import GateSpec, build_error_basis
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
-from _oracles import allocation_peak, haar_unitary, swap_in_the_x_1_bit_frame
+from _oracles import allocation_peak, haar_unitary, skew_the_complementary_frame, swap_in_the_x_1_bit_frame
 
 # below the floor, at the floor, and signed zeros in both parts
 DUSTY = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
@@ -194,7 +194,7 @@ def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_pat
     signs = channel_module._walsh_signs
 
     def skewed_signs(n_qubits):
-        table = signs(n_qubits)
+        table = signs(n_qubits).copy()
         table[1, 0] = 0.0
         return table
 
@@ -203,6 +203,21 @@ def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_pat
     assert code == 2
     assert doc is None
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [31, 32])
+def test_a_skewed_complementary_frame_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys, rank):
+    # the last rank of the per-operator fx route at n=3 and the first of the frame route
+    skew_the_complementary_frame(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "gate": {"builtin": "ghz-chain", "qubits": 3},
+        "noise": {"kind": "random_cptp", "rank": rank, "seed": rank},
+    }))
+    code, doc = run(tmp_path, "certify", "--config", str(config))
+    assert code == 2
+    assert doc is None
+    assert "diagonal sums" in capsys.readouterr().err
 
 
 def test_a_corrupted_bit_frame_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys):

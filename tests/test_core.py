@@ -306,8 +306,8 @@ def test_walsh_signs_are_the_kron_table_bit_for_bit(n_qubits):
     kron = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n_qubits)
     assert table.dtype == np.float64 and table.shape == kron.shape
     assert table.tobytes() == kron.tobytes()
-    # callers may scale or poison a fresh copy
-    assert table.flags.writeable and table is not _walsh_signs(n_qubits)
+    # built once per n and shared, so no caller can edit it
+    assert not table.flags.writeable and table is _walsh_signs(n_qubits)
 
 
 @pytest.mark.parametrize("n_qubits", range(1, MAX_QUBITS + 1))
