@@ -204,14 +204,16 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
     * m >= 2**(n+2): each amplitude is the inner product of vec(K_m) with
       vec(|t_n><psi_n|), so all of them are one product of the stack, read in
       place as an (m x 4**n) matrix, with the (4**n x 2**n) frame
-      W[(t, s), n] = conj(t_n[t]) psi_n[s].  W holds 8**n entries, and
-      building it is the route's only cost beyond the product; from this
-      rank on the stack holds at least four times as many, and the one
-      well-shaped product beats the block loop below.
-    * below that rank W would cost more than it saves, so the stack is taken
-      in the blocks of ``core._kraus_blocks``: each block's K_m @ frame comes
-      from one product of its vertically stacked operators with the frame, and
-      is contracted with the ideal images column by column.
+      W[(t, s), n] = conj(t_n[t]) psi_n[s].  Building W writes 8**n entries,
+      a cost the other route never pays, while the one product saves that
+      route's per-block temporaries and loop steps.  From this rank on the
+      stack holds at least four times as many entries as W, enough for the
+      saving to outweigh the build at every supported n (the crossover
+      measurements are in BENCH_15.json).
+    * below that rank the stack is taken in the blocks of
+      ``core._kraus_blocks``: each block's K_m @ frame comes from one product
+      of its vertically stacked operators with the frame, and is contracted
+      with the ideal images column by column.
 
     Both routes build the frame from ``_input_frame``, the Walsh sign table
     that the bit-only row of ``channel._transfer_entries`` never reads, so a
@@ -226,8 +228,8 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
         frame = _input_frame(n, basis)
         targets = gate.u00 @ frame
         if m >= 4 * d:
-            window = (targets.conj()[:, np.newaxis, :] * frame).reshape(d * d, d)
-            amplitudes = kraus.reshape(m, d * d) @ window
+            w_frame = (targets.conj()[:, np.newaxis, :] * frame).reshape(d * d, d)
+            amplitudes = kraus.reshape(m, d * d) @ w_frame
         else:
             amplitudes = np.empty((m, d), dtype=np.complex128)
             for block in _kraus_blocks(m, d):
