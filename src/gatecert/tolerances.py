@@ -15,16 +15,12 @@ __all__ = ["Tolerances", "TOL", "MAX_QUBITS"]
 class Tolerances:
     """Absolute tolerances for the package's validation checks."""
 
-    state_norm: float = 1e-10
-    hermiticity: float = 1e-10
-    trace_one: float = 1e-10
-    psd_floor: float = -1e-9
     # Limits on the largest absolute row sum of u^dag u - I and of
     # sum_m K_m^dag K_m - I, which bound every eigenvalue.  By Cauchy-Schwarz
     # every transfer probability is then at most (1 + unitarity)(1 +
-    # kraus_trace_preserving) < 1 + probability_slack.
+    # kraus_trace_preserving) < 1 + probability_slack, and every trace the
+    # basis-check reads is at most 2**n unitarity (core._orthogonality_bound).
     unitarity: float = 4e-11
-    orthogonality: float = 1e-10
     kraus_trace_preserving: float = 4e-11
     chi_hermiticity: float = 1e-9
     chi_diagonal: float = 1e-9

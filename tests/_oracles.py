@@ -19,6 +19,43 @@ def random_density(rng, n_qubits):
     return rho / np.trace(rho)
 
 
+def apply_channel(kraus, rho):
+    """E(rho) = sum_m K_m rho K_m^dag, one operator at a time."""
+    return sum(k @ rho @ k.conj().T for k in np.asarray(kraus))
+
+
+def mermin_operator():
+    """XXX - XYY - YXY - YYX, the three-qubit correlation combination, as a dense 8 x 8 matrix."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    return (
+        np.kron(np.kron(x, x), x)
+        - np.kron(np.kron(x, y), y)
+        - np.kron(np.kron(y, x), y)
+        - np.kron(np.kron(y, y), x)
+    )
+
+
+def ghz_correlation(rho):
+    """Tr(M_3 rho) for the dense Mermin operator; its imaginary part must vanish."""
+    value = complex(np.trace(mermin_operator() @ rho))
+    assert abs(value.imag) < 1e-12, value
+    return value.real
+
+
+def entangling_input(n_qubits):
+    """(|0...0> + |10...0>)/sqrt(2), the product input the chain gate turns maximally entangled."""
+    amp = np.zeros(2**n_qubits, dtype=complex)
+    amp[0] = amp[2 ** (n_qubits - 1)] = 1 / np.sqrt(2)
+    return amp
+
+
+def ghz_output(kraus):
+    """The channel output for the entangling input of 3 qubits, by full density-matrix propagation."""
+    psi = entangling_input(3)
+    return apply_channel(kraus, np.outer(psi, psi.conj()))
+
+
 def haar_unitary(rng, dim):
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -9,19 +9,13 @@ import json
 import numpy as np
 import pytest
 
-from gatecert.certify import (
-    certify,
-    classical_fidelity,
-    entangling_input,
-    ghz_chain_gate,
-    ghz_correlation,
-)
-from gatecert.channel import Channel, apply_channel, kraus_to_chi, process_fidelity
+from gatecert.certify import certify, classical_fidelity, ghz_chain_gate
+from gatecert.channel import Channel, kraus_to_chi, process_fidelity
 from gatecert.cli import main, matrix_to_pairs, report_from_dict
 from gatecert.core import GateSpec, build_error_basis
 from gatecert.noise import NOISE_KINDS, NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import ShotPlan, sample_transfer, sampled_report
-from _oracles import ghz_family_overlap
+from _oracles import ghz_correlation, ghz_family_overlap, ghz_output
 
 P_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 FAMILY_KINDS = [k for k in NOISE_KINDS if k != "random_cptp"]
@@ -134,8 +128,7 @@ def test_criterion_4_depolarizing_closed_forms():
 def test_criterion_5_perfect_chain_correlation():
     gate = ghz_chain_gate(3)
     ch = Channel(3, gate.u00[np.newaxis])
-    rho_out = apply_channel(ch, entangling_input(3).density())
-    correlation = ghz_correlation(rho_out)
+    correlation = ghz_correlation(ghz_output(ch.kraus_ops))
     corr_ok = abs(correlation - 4.0) < 1e-10
 
     # the four product inputs |x_x, a_z, 0_z> must all land on maximally
@@ -160,23 +153,22 @@ def test_criterion_5_perfect_chain_correlation():
 def test_criterion_6_correlation_floor(three_qubit_population):
     gate, basis, channels = three_qubit_population
     holds = True
-    probe = entangling_input(3).density()
     for ch in channels:
         fp = process_fidelity(kraus_to_chi(ch, gate, basis))
-        measured = ghz_correlation(apply_channel(ch, probe))
+        measured = ghz_correlation(ghz_output(ch.kraus_ops))
         if abs(measured) < 8 * fp - 4 - 1e-8:
             holds = False
     for kind in FAMILY_KINDS:
         for p in P_GRID:
             ch = noisy_gate(gate, NoiseSpec(kind, p))
             fp = process_fidelity(kraus_to_chi(ch, gate, basis))
-            measured = ghz_correlation(apply_channel(ch, probe))
+            measured = ghz_correlation(ghz_output(ch.kraus_ops))
             if abs(measured) < 8 * fp - 4 - 1e-8:
                 holds = False
 
     ch = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.5))
     fp = process_fidelity(kraus_to_chi(ch, gate, basis))
-    measured = ghz_correlation(apply_channel(ch, probe))
+    measured = ghz_correlation(ghz_output(ch.kraus_ops))
     anchor_ok = abs(measured - 2.0) < 1e-9 and abs((8 * fp - 4) - 0.0625) < 1e-9
     conclude(
         6,
@@ -190,7 +182,6 @@ def test_criterion_7_threshold_sweep(three_qubit_population):
     gate, basis, channels = three_qubit_population
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-    probe = entangling_input(3).density()
 
     cap_flags = []
     viol_flags = []
@@ -202,8 +193,8 @@ def test_criterion_7_threshold_sweep(three_qubit_population):
         cap_flags.append(report.capability_certified)
         viol_flags.append(report.violation_certified)
         if report.capability_certified:
-            rho_out = apply_channel(ch, probe)
-            if float(np.vdot(ghz, rho_out.elements @ ghz).real) <= 0.5:
+            rho_out = ghz_output(ch.kraus_ops)
+            if float(np.vdot(ghz, rho_out @ ghz).real) <= 0.5:
                 sound = False
         if report.violation_certified and abs(report.ghz_expectation) <= 2.0:
             sound = False
@@ -216,8 +207,8 @@ def test_criterion_7_threshold_sweep(three_qubit_population):
     for ch in channels:
         report = certify(ch, gate)
         if report.capability_certified:
-            rho_out = apply_channel(ch, probe)
-            if float(np.vdot(ghz, rho_out.elements @ ghz).real) <= 0.5:
+            rho_out = ghz_output(ch.kraus_ops)
+            if float(np.vdot(ghz, rho_out @ ghz).real) <= 0.5:
                 sound = False
         if report.violation_certified and abs(report.ghz_expectation) <= 2.0:
             sound = False

@@ -1,19 +1,17 @@
 import importlib
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gatecert.channel import Channel, _transfer_entries, apply_channel, kraus_to_chi, process_fidelity
+from gatecert.channel import Channel, _transfer_entries, kraus_to_chi, process_fidelity
 from gatecert.core import (
     _kraus_blocks,
     CapacityError,
     ConsistencyError,
-    DensityMatrix,
     GateSpec,
     build_error_basis,
-    complementary_ket,
-    computational_ket,
 )
 from gatecert.certify import (
     _input_frame,
@@ -26,13 +24,10 @@ from gatecert.certify import (
     capability_bound,
     certify,
     classical_fidelity,
-    entangling_input,
     fidelity_bounds,
     ghz_chain_gate,
-    ghz_correlation,
     ghz_floor,
     ghz_summary,
-    ideal_outputs,
     violation_verdict,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
@@ -40,6 +35,9 @@ from gatecert.tolerances import TOL
 from _oracles import (
     allocation_peak,
     dense_chi,
+    entangling_input,
+    ghz_correlation,
+    ghz_output,
     haar_unitary,
     product_inputs,
     skew_the_complementary_frame,
@@ -70,11 +68,10 @@ def ghz_state(n_qubits):
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 def test_input_frames_hold_the_product_kets_bit_for_bit(n_qubits):
-    for basis, ket in (("z", computational_ket), ("x", complementary_ket)):
-        columns = [ket(n, n_qubits).amplitudes for n in range(2**n_qubits)]
+    for basis in ("z", "x"):
         frame = _input_frame(n_qubits, basis)
         assert frame.dtype == np.complex128
-        assert np.array_equal(frame, np.stack(columns, axis=1))
+        assert np.array_equal(frame, product_inputs(n_qubits, basis))
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 7))
@@ -87,12 +84,17 @@ def test_complementary_frame_is_the_kron_power_of_the_hadamard_bit_for_bit(n_qub
     assert frame.tobytes() == reference.tobytes()
 
 
+def ideal_outputs(gate, basis):
+    """Columns u00 |psi_n>: the ideal images classical_fidelity scores each input against."""
+    return (gate.u00 @ _input_frame(gate.n_qubits, basis)).T
+
+
 def test_ideal_outputs_of_the_identity_are_the_inputs():
     gate = GateSpec.identity(2)
     for n, ket in enumerate(ideal_outputs(gate, "z")):
-        assert np.array_equal(ket.amplitudes, computational_ket(n, 2).amplitudes)
+        assert np.array_equal(ket, product_inputs(2, "z")[:, n])
     for n, ket in enumerate(ideal_outputs(gate, "x")):
-        assert np.allclose(ket.amplitudes, complementary_ket(n, 2).amplitudes)
+        assert np.allclose(ket, product_inputs(2, "x")[:, n])
 
 
 def test_cnot_truth_table_in_the_computational_basis():
@@ -100,7 +102,7 @@ def test_cnot_truth_table_in_the_computational_basis():
     outputs = ideal_outputs(gate, "z")
     truth = {0: 0, 1: 1, 2: 3, 3: 2}
     for n, m in truth.items():
-        assert np.allclose(outputs[n].amplitudes, computational_ket(m, 2).amplitudes)
+        assert np.allclose(outputs[n], product_inputs(2, "z")[:, m])
 
 
 def test_cnot_label_map_in_the_complementary_basis():
@@ -111,7 +113,7 @@ def test_cnot_label_map_in_the_complementary_basis():
     for n in range(4):
         x1, x2 = n >> 1, n & 1
         mapped = ((x1 ^ x2) << 1) | x2
-        assert np.allclose(outputs[n].amplitudes, complementary_ket(mapped, 2).amplitudes, atol=1e-12)
+        assert np.allclose(outputs[n], product_inputs(2, "x")[:, mapped], atol=1e-12)
 
 
 def test_classical_fidelity_of_the_perfect_gate():
@@ -254,8 +256,7 @@ def test_ghz_chain_flips_targets_iff_control_set():
 def test_entangling_input_reaches_the_ghz_state():
     for n_qubits in (2, 3, 4):
         gate = ghz_chain_gate(n_qubits)
-        ket = entangling_input(n_qubits)
-        out = gate.u00 @ ket.amplitudes
+        out = gate.u00 @ entangling_input(n_qubits)
         assert np.allclose(out, ghz_state(n_qubits), atol=1e-12)
 
 
@@ -270,14 +271,15 @@ def test_capability_bound_values_and_strict_threshold():
 
 
 def test_ghz_correlation_extremes():
-    ghz = DensityMatrix(3, np.outer(ghz_state(3), ghz_state(3).conj()))
+    # the dense reference that ghz_summary's closed form is checked against
+    ghz = np.outer(ghz_state(3), ghz_state(3).conj())
     assert ghz_correlation(ghz) == pytest.approx(4.0, abs=1e-10)
-    mixed = DensityMatrix(3, np.eye(8) / 8)
+    mixed = np.eye(8) / 8
     assert ghz_correlation(mixed) == pytest.approx(0.0, abs=1e-12)
-    basis_state = computational_ket(5, 3).density()
+    basis_state = np.diag(np.eye(8)[5])
     assert ghz_correlation(basis_state) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        ghz_correlation(computational_ket(0, 2).density())
+        ghz_correlation(np.diag(np.eye(4)[0]))
 
 
 def test_ghz_correlation_is_linear_in_the_state():
@@ -285,10 +287,8 @@ def test_ghz_correlation_is_linear_in_the_state():
     ghz = np.outer(ghz_state(3), ghz_state(3).conj())
     other = np.eye(8) / 8
     for alpha in rng.uniform(0, 1, 5):
-        blend = DensityMatrix(3, alpha * ghz + (1 - alpha) * other)
-        parts = alpha * ghz_correlation(DensityMatrix(3, ghz)) + (1 - alpha) * ghz_correlation(
-            DensityMatrix(3, other)
-        )
+        blend = alpha * ghz + (1 - alpha) * other
+        parts = alpha * ghz_correlation(ghz) + (1 - alpha) * ghz_correlation(other)
         assert ghz_correlation(blend) == pytest.approx(parts, abs=1e-10)
 
 
@@ -482,6 +482,49 @@ def test_certify_reports_no_correlation_outside_the_three_qubit_chain():
     assert ghz_summary(unitary_channel(np.eye(8)), identity, 1.0) == (None, None)
 
 
+def _ghz_test_channels():
+    """Chain-3 under the Pauli families at six strengths, seeded random noise of ranks 1-64, and a coherent Rz."""
+    gate = ghz_chain_gate(3)
+    for kind in ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit"):
+        for p in (0.0, 0.05, 0.13, 0.37, 0.9, 1.0):
+            yield f"{kind}:{p}", noisy_gate(gate, NoiseSpec(kind, p))
+    rng = np.random.default_rng(2026)
+    for rank in range(1, 65):
+        yield f"random_cptp:{rank}", noisy_gate(gate, NoiseSpec("random_cptp", rank=rank, seed=int(rng.integers(1 << 30))))
+    rz = np.diag(np.exp(-1j * np.pi / 12 * np.array([1.0, -1.0])))  # Rz(pi/6)
+    yield "rz", Channel(3, (np.kron(np.kron(rz, rz), rz) @ gate.u00)[np.newaxis])
+
+
+def test_ghz_summary_matches_the_dense_mermin_oracle():
+    # four Kraus entries per operator against the propagated state scored by the dense operator
+    gate = ghz_chain_gate(3)
+    for label, ch in _ghz_test_channels():
+        fp = process_fidelity(kraus_to_chi(ch, gate))
+        expectation, floor = ghz_summary(ch, gate, fp)
+        assert abs(expectation - ghz_correlation(ghz_output(ch.kraus_ops))) <= 1e-14, label
+        assert floor == ghz_floor(fp), label
+
+
+def test_the_noiseless_chain_reports_the_ghz_correlation_exactly():
+    gate = ghz_chain_gate(3)
+    report = certify(unitary_channel(gate.u00), gate)
+    assert report.ghz_expectation == report.ghz_floor == 4.0
+
+
+def test_ghz_summary_rejects_a_correlation_beyond_the_quantum_ceiling():
+    # no validated channel gets there, so the stack is handed over unchecked
+    gate = ghz_chain_gate(3)
+    for scale in (1.01, np.nan):
+        unchecked = SimpleNamespace(n_qubits=3, kraus_ops=scale * gate.u00[np.newaxis])
+        with pytest.raises(ConsistencyError, match="quantum ceiling"):
+            ghz_summary(unchecked, gate, 1.0)
+
+
+def test_ghz_summary_rejects_a_channel_of_another_size():
+    with pytest.raises(ValueError, match="qubit"):
+        ghz_summary(unitary_channel(CNOT), ghz_chain_gate(3), 1.0)
+
+
 def test_bound_sandwich_on_random_channels():
     # 1000 seeded random channels across both sizes, plus every named noise
     # family on a grid; the lower side allows only last-ulp dust while the
@@ -533,9 +576,9 @@ def test_certified_flags_are_sound():
     for p in np.linspace(0.0, 1.0, 11):
         ch = noisy_gate(gate, NoiseSpec("depolarizing_global", float(p)))
         report = certify(ch, gate)
-        rho_out = apply_channel(ch, entangling_input(3).density())
+        rho_out = ghz_output(ch.kraus_ops)
         if report.capability_certified:
-            overlap = float(np.vdot(ghz, rho_out.elements @ ghz).real)
+            overlap = float(np.vdot(ghz, rho_out @ ghz).real)
             assert overlap > 0.5
         if report.violation_certified:
             assert abs(report.ghz_expectation) > 2.0

@@ -172,20 +172,32 @@ def test_basis_check_prints_the_dense_gram_lines(capsys, n_qubits):
     assert expected.splitlines()[1] == "max orthogonality residual: 0.000000e+00"
 
 
-def test_basis_check_fails_a_gate_that_passes_the_unitarity_check(tmp_path, capsys):
+def test_basis_check_passes_a_gate_that_passes_the_unitarity_check(tmp_path, capsys):
     # u^dag u = diag(1 + 3e-11 (-1)**s_0): every row residual is 3e-11, within
-    # TOL.unitarity, but Tr(Z_0 E) = 8 * 3e-11 = 2.4e-10 exceeds TOL.orthogonality
+    # TOL.unitarity, and Tr(Z_0 E) = 8 * 3e-11 = 2.4e-10 lies within the
+    # 2**3 TOL.unitarity that any gate GateSpec accepts can reach
     sign = 1.0 - 2.0 * (np.arange(8) >> 2)
     matrix = np.diag(np.sqrt(1.0 + 3e-11 * sign))
     gate = GateSpec.from_matrix(matrix)
     assert build_error_basis(gate).gram_residual() == pytest.approx(2.4e-10, rel=1e-6)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"gate": {"matrix": matrix_to_pairs(matrix)}}))
-    assert main(["basis-check", "--config", str(path)]) == 1
+    assert main(["basis-check", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "operators: 64"
     assert float(lines[1].rpartition(": ")[2]) == pytest.approx(2.4e-10, rel=1e-6)
-    assert lines[2] == "FAIL"
+    assert lines[2] == "PASS"
+
+
+def test_basis_check_refuses_a_gate_that_fails_the_unitarity_check(tmp_path, capsys):
+    # row residuals of 5e-11 exceed TOL.unitarity, so no residual is printed
+    sign = 1.0 - 2.0 * (np.arange(8) >> 2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix_to_pairs(np.diag(np.sqrt(1.0 + 5e-11 * sign)))}}))
+    assert main(["basis-check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not unitary" in captured.err
 
 
 def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys):

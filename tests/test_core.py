@@ -5,20 +5,17 @@ import pytest
 
 from gatecert.core import (
     _kraus_blocks,
+    _orthogonality_bound,
     _pauli_products,
     _walsh_signs,
     CapacityError,
-    DensityMatrix,
     ErrorBasis,
     ErrorIndex,
     GateSpec,
-    Ket,
     build_error_basis,
-    complementary_ket,
-    computational_ket,
     orthogonality_residual,
 )
-from gatecert.certify import ghz_chain_gate
+from gatecert.certify import _input_frame, ghz_chain_gate
 from gatecert.channel import Channel
 from gatecert.tolerances import MAX_QUBITS, TOL
 from _oracles import allocation_peak, gram_residual, haar_unitary, pauli_product
@@ -39,29 +36,23 @@ CNOT = np.array(
 
 
 def test_computational_ket_matches_unit_vectors():
-    assert np.array_equal(computational_ket(0, 1).amplitudes, [1, 0])
-    assert np.array_equal(computational_ket(2, 2).amplitudes, [0, 0, 1, 0])
-    assert np.array_equal(computational_ket(5, 3).amplitudes, np.eye(8)[5])
-
-
-def test_computational_ket_rejects_bad_index():
-    with pytest.raises(ValueError):
-        computational_ket(4, 2)
-    with pytest.raises(ValueError):
-        computational_ket(-1, 2)
+    # column n of the computational input frame is the ket |n>
+    assert np.array_equal(_input_frame(1, "z")[:, 0], [1, 0])
+    assert np.array_equal(_input_frame(2, "z")[:, 2], [0, 0, 1, 0])
+    assert np.array_equal(_input_frame(3, "z")[:, 5], np.eye(8)[5])
 
 
 def test_complementary_ket_single_qubit():
     root_half = 1 / np.sqrt(2)
-    assert np.allclose(complementary_ket(0, 1).amplitudes, [root_half, root_half])
-    assert np.allclose(complementary_ket(1, 1).amplitudes, [root_half, -root_half])
+    assert np.allclose(_input_frame(1, "x")[:, 0], [root_half, root_half])
+    assert np.allclose(_input_frame(1, "x")[:, 1], [root_half, -root_half])
 
 
 def test_complementary_ket_signs_follow_popcount():
     # amplitude on |m> is (-1)**popcount(n & m) / 2**(N/2)
     n_qubits = 3
     for n in range(8):
-        amp = complementary_ket(n, n_qubits).amplitudes
+        amp = _input_frame(n_qubits, "x")[:, n]
         for m in range(8):
             expected = (-1) ** ((n & m).bit_count()) / 2 ** (n_qubits / 2)
             assert amp[m] == pytest.approx(expected, abs=1e-15)
@@ -72,7 +63,7 @@ def test_complementarity_between_the_two_bases():
     for n_qubits in (1, 2, 3, 4):
         target = 0.5**n_qubits
         for n in range(1 << n_qubits):
-            amp = complementary_ket(n, n_qubits).amplitudes
+            amp = _input_frame(n_qubits, "x")[:, n]
             probs = np.abs(amp) ** 2
             assert np.max(np.abs(probs - target)) < 1e-12
 
@@ -216,7 +207,28 @@ def test_orthogonality_residual_matches_the_dense_gram(n_qubits):
     for gate in _residual_gates(n_qubits):
         dense = build_error_basis(gate).gram_residual()
         assert orthogonality_residual(gate) == pytest.approx(dense, rel=1e-6, abs=1e-13)
-        assert (orthogonality_residual(gate) < TOL.orthogonality) == (dense < TOL.orthogonality)
+        assert (orthogonality_residual(gate) <= _orthogonality_bound(n_qubits)) == (
+            dense <= _orthogonality_bound(n_qubits)
+        )
+
+
+@pytest.mark.parametrize("n_qubits", range(1, MAX_QUBITS + 1))
+def test_orthogonality_bound_holds_every_gate_at_the_unitarity_limit(n_qubits):
+    # u^dag u = diag(1 + delta (-1)**s_0) has row residuals delta and
+    # Tr(Z_0 E) = 2**n delta; delta is the largest of a few that GateSpec accepts
+    sign = 1.0 - 2.0 * ((np.arange(2**n_qubits) >> (n_qubits - 1)) & 1)
+    gates = {}
+    for delta in TOL.unitarity * (1.0 - np.arange(1, 10) * 1e-6):
+        try:
+            gates[delta] = GateSpec.from_matrix(np.diag(np.sqrt(1.0 + delta * sign)))
+        except ValueError:
+            continue
+    delta = max(gates)
+    residual = orthogonality_residual(gates[delta])
+    assert residual == pytest.approx(2**n_qubits * delta, rel=1e-5)
+    bound = _orthogonality_bound(n_qubits)
+    assert residual <= bound < 2**n_qubits * TOL.unitarity * (1 + 1e-12)
+    assert all(orthogonality_residual(gate) <= bound for gate in _residual_gates(n_qubits))
 
 
 def test_orthogonality_residual_is_exactly_zero_for_permutation_gates():
@@ -229,7 +241,7 @@ def test_orthogonality_residual_builds_no_basis():
     # (268 MB); the closed form holds a few 2**6 x 2**6 operators
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(96), 64))
     residual, peak = allocation_peak(lambda: orthogonality_residual(gate))
-    assert residual < TOL.orthogonality
+    assert residual <= _orthogonality_bound(6)
     assert peak <= 6 * gate.u00.nbytes, peak / gate.u00.nbytes
 
 
@@ -255,10 +267,6 @@ OVER = MAX_QUBITS + 1
         # the placeholder arrays are never read: the qubit count is checked first
         pytest.param(lambda: GateSpec(OVER, np.eye(2)), id="GateSpec"),
         pytest.param(lambda: Channel(OVER, np.eye(2)[np.newaxis]), id="Channel"),
-        pytest.param(lambda: Ket(OVER, np.ones(1)), id="Ket"),
-        pytest.param(lambda: DensityMatrix(OVER, np.eye(1)), id="DensityMatrix"),
-        pytest.param(lambda: computational_ket(0, OVER), id="computational_ket"),
-        pytest.param(lambda: complementary_ket(0, OVER), id="complementary_ket"),
     ],
 )
 def test_every_constructor_refuses_a_qubit_count_over_capacity(construct):
@@ -277,13 +285,6 @@ def test_completeness_reconstruction(n_qubits):
     coeffs = np.einsum("aij,ij->a", ops.conj(), m) / d
     rebuilt = np.einsum("a,aij->ij", coeffs, ops)
     assert np.max(np.abs(rebuilt - m)) < 1e-10
-
-
-def test_ket_rejects_unnormalized_amplitudes():
-    with pytest.raises(ValueError):
-        Ket(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Ket(2, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n_qubits,length", [(1, 1024), (3, 64), (4, 16), (5, 4), (6, 1)])
@@ -323,30 +324,6 @@ def test_walsh_signs_are_their_own_inverse_up_to_2_to_the_n_exactly(n_qubits):
     assert np.array_equal(table @ (table / d), np.eye(d))
 
 
-def test_ket_rejects_a_nan_amplitude():
-    with pytest.raises(ValueError, match="normalized"):
-        Ket(1, np.array([np.nan, 0.0]))
-
-
-def test_ket_density_is_projector():
-    rho = complementary_ket(1, 1).density()
-    assert np.allclose(rho.elements, [[0.5, -0.5], [-0.5, 0.5]])
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-
-
-def test_density_matrix_rejects_nan_entries():
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
 def test_operator_unitary_flag():
     with pytest.raises(ValueError, match="unitary"):
         GateSpec(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -381,9 +358,6 @@ def test_gate_spec_validation():
 
 
 def test_value_arrays_are_read_only():
-    ket = computational_ket(0, 1)
-    with pytest.raises(ValueError):
-        ket.amplitudes[0] = 2.0
     basis = build_error_basis(GateSpec.identity(1))
     with pytest.raises(ValueError):
         basis.operators[0, 0, 0] = 5.0

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gatecert import cli
-from gatecert.channel import _completeness_residual, apply_channel, kraus_to_chi
-from gatecert.core import CapacityError, DensityMatrix, GateSpec, complementary_ket, computational_ket
-from gatecert.noise import NOISE_KINDS, NoiseSpec, make_noise, noisy_gate, random_cptp
+from gatecert.channel import Channel, _completeness_residual, kraus_to_chi
+from gatecert.core import CapacityError, GateSpec
+from gatecert.noise import NOISE_KINDS, NoiseSpec, _noise_kraus, noisy_gate, random_cptp
 from gatecert.tolerances import TOL
-from _oracles import allocation_peak, haar_unitary, random_density, superoperator
+from _oracles import allocation_peak, apply_channel, haar_unitary, product_inputs, random_density, superoperator
 
 CNOT = np.array(
     [
@@ -17,6 +17,20 @@ CNOT = np.array(
     ],
     dtype=float,
 )
+
+
+def noise_channel(spec, n_qubits):
+    """The bare noise channel from the stack builder noisy_gate uses, with no gate on the right.
+
+    The builder is looked up on its module at each call, so a monkeypatched one applies.
+    """
+    import gatecert.noise as noise_module
+
+    return Channel(n_qubits, noise_module._noise_kraus(spec.kind, n_qubits, spec.strength, spec.rank, spec.seed))
+
+
+def ket_density(column):
+    return np.outer(column, column.conj())
 
 
 def test_noise_spec_validation():
@@ -30,17 +44,17 @@ def test_noise_spec_validation():
         NoiseSpec("random_cptp", seed=-1)
 
 
-def test_make_noise_rejects_over_capacity_qubit_counts():
+def test_noise_kraus_rejects_over_capacity_qubit_counts():
     # the guard must fire before any operator stack is allocated
     with pytest.raises(CapacityError):
-        make_noise(NoiseSpec("depolarizing_global", 0.1), 7)
+        _noise_kraus("depolarizing_global", 7, 0.1)
     with pytest.raises(CapacityError):
-        make_noise(NoiseSpec("dephasing_per_qubit", 0.1), 9)
+        _noise_kraus("dephasing_per_qubit", 9, 0.1)
 
 
 def test_zero_strength_collapses_to_the_identity_channel():
     for kind in NOISE_KINDS[:-1]:
-        ch = make_noise(NoiseSpec(kind, 0.0), 2)
+        ch = noise_channel(NoiseSpec(kind, 0.0), 2)
         assert ch.rank == 1
         assert np.allclose(ch.kraus_ops[0], np.eye(4), atol=1e-15)
 
@@ -48,7 +62,7 @@ def test_zero_strength_collapses_to_the_identity_channel():
 def test_depolarizing_kraus_count_stays_within_capacity():
     # the two identity-proportional operators merge, so the set has 4**n
     # members, not 4**n + 1
-    ch = make_noise(NoiseSpec("depolarizing_global", 0.3), 2)
+    ch = noise_channel(NoiseSpec("depolarizing_global", 0.3), 2)
     assert ch.rank == 16
 
 
@@ -56,39 +70,40 @@ def test_depolarizing_matches_its_closed_form():
     # E(rho) = (1 - p) rho + p I / 2**n
     rng = np.random.default_rng(17)
     for n_qubits, p in ((1, 0.3), (2, 0.65), (3, 0.08)):
-        ch = make_noise(NoiseSpec("depolarizing_global", p), n_qubits)
+        ch = noise_channel(NoiseSpec("depolarizing_global", p), n_qubits)
         d = 2**n_qubits
         for _ in range(5):
             rho = random_density(rng, n_qubits)
-            out = apply_channel(ch, DensityMatrix(n_qubits, rho))
+            out = apply_channel(ch.kraus_ops, rho)
             expected = (1 - p) * rho + p * np.eye(d) / d
-            assert np.max(np.abs(out.elements - expected)) < 1e-12
+            assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_full_depolarizing_erases_everything():
-    ch = make_noise(NoiseSpec("depolarizing_global", 1.0), 2)
-    rho = computational_ket(3, 2).density()
-    out = apply_channel(ch, rho)
-    assert np.allclose(out.elements, np.eye(4) / 4, atol=1e-12)
+    ch = noise_channel(NoiseSpec("depolarizing_global", 1.0), 2)
+    rho = ket_density(product_inputs(2, "z")[:, 3])
+    out = apply_channel(ch.kraus_ops, rho)
+    assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
 
 def test_full_dephasing_flips_the_complementary_state():
     # at p = 1 the only Kraus operator is Z, so |+> goes to |->
-    ch = make_noise(NoiseSpec("dephasing_per_qubit", 1.0), 1)
+    ch = noise_channel(NoiseSpec("dephasing_per_qubit", 1.0), 1)
     assert ch.rank == 1
-    out = apply_channel(ch, complementary_ket(0, 1).density())
-    assert np.allclose(out.elements, complementary_ket(1, 1).density().elements, atol=1e-14)
+    plus, minus = product_inputs(1, "x").T
+    out = apply_channel(ch.kraus_ops, ket_density(plus))
+    assert np.allclose(out, ket_density(minus), atol=1e-14)
 
 
 def test_half_dephasing_kills_coherences():
-    ch = make_noise(NoiseSpec("dephasing_per_qubit", 0.5), 1)
-    out = apply_channel(ch, complementary_ket(0, 1).density())
-    assert np.allclose(out.elements, np.diag([0.5, 0.5]), atol=1e-14)
+    ch = noise_channel(NoiseSpec("dephasing_per_qubit", 0.5), 1)
+    out = apply_channel(ch.kraus_ops, ket_density(product_inputs(1, "x")[:, 0]))
+    assert np.allclose(out, np.diag([0.5, 0.5]), atol=1e-14)
 
 
 def test_dephasing_weights_are_binomial():
     p = 0.25
-    ch = make_noise(NoiseSpec("dephasing_per_qubit", p), 2)
+    ch = noise_channel(NoiseSpec("dephasing_per_qubit", p), 2)
     assert ch.rank == 4
     weights = sorted(float(np.abs(k[0, 0]) ** 2) for k in ch.kraus_ops)
     expected = sorted([(1 - p) ** 2, (1 - p) * p, p * (1 - p), p**2])
@@ -96,9 +111,10 @@ def test_dephasing_weights_are_binomial():
 
 
 def test_full_bitflip_flips_a_computational_state():
-    ch = make_noise(NoiseSpec("bitflip_per_qubit", 1.0), 1)
-    out = apply_channel(ch, computational_ket(0, 1).density())
-    assert np.allclose(out.elements, computational_ket(1, 1).density().elements, atol=1e-14)
+    ch = noise_channel(NoiseSpec("bitflip_per_qubit", 1.0), 1)
+    zero, one = product_inputs(1, "z").T
+    out = apply_channel(ch.kraus_ops, ket_density(zero))
+    assert np.allclose(out, ket_density(one), atol=1e-14)
 
 
 def test_the_removed_phaseflip_alias_is_rejected(tmp_path, capsys):
@@ -109,9 +125,9 @@ def test_the_removed_phaseflip_alias_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_make_noise_rejects_a_non_integer_qubit_count():
+def test_noise_kraus_rejects_a_non_integer_qubit_count():
     with pytest.raises(ValueError, match="positive integer"):
-        make_noise(NoiseSpec("dephasing_per_qubit", 0.1), 2.0)
+        _noise_kraus("dephasing_per_qubit", 2.0, 0.1)
 
 
 def test_random_cptp_is_deterministic_per_seed():
@@ -140,7 +156,7 @@ def test_every_noise_family_is_trace_preserving():
     for kind in NOISE_KINDS[:-1]:
         for p in (0.0, 0.15, 0.5, 0.85, 1.0):
             for n_qubits in (1, 2, 3):
-                ch = make_noise(NoiseSpec(kind, p), n_qubits)
+                ch = noise_channel(NoiseSpec(kind, p), n_qubits)
                 assert _completeness_residual(ch.kraus_ops) <= TOL.kraus_trace_preserving
     for seed in range(10):
         ch = random_cptp(2, 1 + seed, seed)
@@ -160,7 +176,7 @@ def test_noisy_gate_multiplies_every_noise_operator_by_the_gate(n_qubits):
     gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
     for kind in NOISE_KINDS:
         spec = NoiseSpec(kind, 0.3, rank=3, seed=n_qubits)
-        noise = make_noise(spec, n_qubits).kraus_ops
+        noise = noise_channel(spec, n_qubits).kraus_ops
         expected = [k @ gate.u00 for k in noise]
         got = noisy_gate(gate, spec).kraus_ops
         if kind == "random_cptp":
@@ -183,7 +199,7 @@ def test_depolarizing_commutes_with_the_gate():
     # noise-after-gate and gate-after-noise give the same map when the noise
     # is the global depolarizing family
     gate = GateSpec.from_matrix(CNOT, name="cnot")
-    noise = make_noise(NoiseSpec("depolarizing_global", 0.4), 2)
+    noise = noise_channel(NoiseSpec("depolarizing_global", 0.4), 2)
     after = superoperator(noise.kraus_ops @ CNOT)
     before = superoperator(CNOT @ noise.kraus_ops)
     assert np.max(np.abs(after - before)) < 1e-10
@@ -239,6 +255,15 @@ def test_noisy_gate_validates_only_the_returned_channel(monkeypatch):
     with pytest.raises(ValueError, match="trace preserving"):
         noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
     with pytest.raises(ValueError, match="trace preserving"):
-        make_noise(NoiseSpec("dephasing_per_qubit", 0.2), 3)
+        noise_channel(NoiseSpec("dephasing_per_qubit", 0.2), 3)
     with pytest.raises(ValueError, match="trace preserving"):
         random_cptp(3, rank=5, seed=1)
+
+
+def test_random_cptp_is_the_qr_of_its_seeded_ginibre_draw_bit_for_bit():
+    # the real parts are drawn first, then the imaginary parts, each into one complex array
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        ginibre = rng.standard_normal((7 * 32, 32)) + 1j * rng.standard_normal((7 * 32, 32))
+        expected = np.linalg.qr(ginibre)[0].reshape(7, 32, 32)
+        assert random_cptp(5, rank=7, seed=seed).kraus_ops.tobytes() == expected.tobytes()
