@@ -37,7 +37,6 @@ import numpy as np
 
 from gatecert import (
     Channel,
-    ErrorIndex,
     build_error_basis,
     error_probabilities,
     ghz_chain_gate,
@@ -63,12 +62,10 @@ def main() -> None:
     print("member labels (phase mask | amplitude mask):")
     n = gate.n_qubits
     for a in range(len(basis)):
-        idx = ErrorIndex.from_flat(a, n)
+        # flat index a = (phase_mask << n) + amp_mask
+        phase_mask, amp_mask = a >> n, a & ((1 << n) - 1)
         tag = " (the ideal gate)" if a == 0 else ""
-        print(
-            f"  a={a:2d}: Z^{mask_label(idx.phase_mask, n)}"
-            f" X^{mask_label(idx.amp_mask, n)}{tag}"
-        )
+        print(f"  a={a:2d}: Z^{mask_label(phase_mask, n)} X^{mask_label(amp_mask, n)}{tag}")
     print()
 
     # Build a noisy channel by hand: with probability 0.3 a Z error hits the
@@ -82,12 +79,10 @@ def main() -> None:
     print(f"channel: CNOT followed by Z on the control with probability {p}")
     chi = kraus_to_chi(channel, gate, basis)
     print("nonzero error probabilities:")
-    for idx, weight in sorted(error_probabilities(chi).items(), key=lambda kv: kv[0].flat(n)):
+    # sorted (phase_mask, amp_mask) keys run in flat order
+    for (phase_mask, amp_mask), weight in sorted(error_probabilities(chi).items()):
         if weight > 1e-12:
-            print(
-                f"  phase mask {mask_label(idx.phase_mask, n)},"
-                f" amplitude mask {mask_label(idx.amp_mask, n)}: {weight:.6f}"
-            )
+            print(f"  phase mask {mask_label(phase_mask, n)}, amplitude mask {mask_label(amp_mask, n)}: {weight:.6f}")
     print(f"process fidelity: {process_fidelity(chi):.6f}")
 
 

@@ -20,7 +20,6 @@ from .certify import (
     CLASSICAL_CORRELATION_CEILING,
     VIOLATION_THRESHOLD,
     FidelityReport,
-    TransferTable,
     capability_bound,
     certify,
     classical_fidelity,
@@ -34,7 +33,6 @@ from .core import (
     CapacityError,
     ConsistencyError,
     ErrorBasis,
-    ErrorIndex,
     GateSpec,
     build_error_basis,
     orthogonality_residual,
@@ -54,7 +52,6 @@ __all__ = [
     "ChiMatrix",
     "ConsistencyError",
     "ErrorBasis",
-    "ErrorIndex",
     "FidelityEstimate",
     "FidelityReport",
     "GateSpec",
@@ -64,7 +61,6 @@ __all__ = [
     "ShotPlan",
     "TOL",
     "Tolerances",
-    "TransferTable",
     "VIOLATION_THRESHOLD",
     "basis_subseed",
     "build_error_basis",

@@ -15,6 +15,10 @@ unitary u00, stated over the gate-relative process matrix chi:
   floor of 8 chi_00 - 4 on a four-term three-party correlation whose
   classical ceiling is 2 (violation certified when (fz + fx)/2 > 7/8).
 
+Each sweep (``classical_fidelity``) returns its per-input success
+probabilities as one read-only vector, checked where it is made: an entry
+outside [0, 1] is a bug and raises ConsistencyError.
+
 The correlation the floor is checked against is simulator ground truth,
 read from four entries of each Kraus operator (``ghz_summary``); the package
 never forms a density matrix.
@@ -50,7 +54,6 @@ __all__ = [
     "CAPABILITY_THRESHOLD",
     "VIOLATION_THRESHOLD",
     "CLASSICAL_CORRELATION_CEILING",
-    "TransferTable",
     "FidelityReport",
     "classical_fidelity",
     "fidelity_bounds",
@@ -70,34 +73,6 @@ VIOLATION_THRESHOLD = 7.0 / 8.0
 
 # Any local-realistic model keeps the four-term correlation within +/- 2.
 CLASSICAL_CORRELATION_CEILING = 2.0
-
-
-@dataclass(frozen=True)
-class TransferTable:
-    """Per-input success probabilities for one measurement basis.
-
-    Entry n is the probability that the channel output for basis state n
-    lands in the ideal image of that state.
-    """
-
-    basis: str
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        probs = np.array(self.probabilities, dtype=float)
-        count = probs.shape[0] if probs.ndim == 1 else 0
-        if probs.ndim != 1 or count < 2 or count & (count - 1):
-            raise ValueError(f"expected a power-of-two probability vector, got shape {probs.shape}")
-        low = float(np.min(probs))
-        high = float(np.max(probs))
-        if not (low >= -TOL.probability_slack and high <= 1.0 + TOL.probability_slack):
-            raise ValueError(f"probabilities outside [0, 1]: min {low!r}, max {high!r}")
-        # Values a few ulps outside [0, 1] are rounding artifacts of exact
-        # probabilities; store them clipped so downstream means and shot draws
-        # never see an out-of-range number.
-        object.__setattr__(self, "probabilities", _frozen(np.clip(probs, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -165,15 +140,16 @@ def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     return (_walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)).astype(np.complex128)
 
 
-def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[TransferTable, float]:
-    """Mean probability that channel outputs land in the ideal gate images.
+def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np.ndarray, float]:
+    """Per-input success probabilities and their mean, the transfer fidelity for one basis.
 
     Input n of the chosen product basis succeeds with probability
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
     columns of one frame matrix.  The amplitudes <t_n| K_m |psi_n> go into one
-    (m x 2**n) array that is squared and summed once, and the mean over the
-    2**n inputs is the transfer fidelity for that basis.
+    (m x 2**n) array that is squared and summed once into the read-only vector
+    of per-input probabilities, whose mean is the transfer fidelity.  An entry
+    beyond TOL.probability_slack of [0, 1], NaN included, raises ConsistencyError.
 
     The computational frame is the identity, so there the propagated columns
     are the Kraus operators themselves, the ideal images are the columns of
@@ -217,8 +193,13 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[Tr
                 amplitudes[block] = np.vecdot(targets, outputs, axis=-2)
     weights = np.abs(amplitudes)
     weights **= 2
-    table = TransferTable(basis, np.sum(weights, axis=0))
-    return table, float(np.mean(table.probabilities))
+    probabilities = np.sum(weights, axis=0)
+    low, high = float(np.min(probabilities)), float(np.max(probabilities))
+    if not (low >= -TOL.probability_slack and high <= 1.0 + TOL.probability_slack):
+        raise ConsistencyError(f"transfer probabilities outside [0, 1]: min {low!r}, max {high!r}")
+    # entries a few ulps outside [0, 1] are rounding; clipped, they reach no mean or shot draw
+    _frozen(np.clip(probabilities, 0.0, 1.0, out=probabilities))
+    return probabilities, float(np.mean(probabilities))
 
 
 def _require_diagonal_identity(fz: float, fx: float, phase: np.ndarray, bit: np.ndarray) -> tuple[float, float]:

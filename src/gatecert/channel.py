@@ -25,7 +25,8 @@ The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
 to check it; the tests check the identity.  A wrong sign or normalization
 still breaks Parseval: the error probabilities must sum to
 Tr(sum_m K_m^dag K_m) / 2**n = 1, and a process matrix whose diagonal does
-not is a bug, reported as ConsistencyError.
+not is a bug, reported as ConsistencyError.  ``error_probabilities`` hands
+that diagonal out keyed by plain (phase_mask, amp_mask) = (z, x) tuples.
 
 Certification reads only the phase-only column chi_{(z,0),(z,0)} and the
 bit-only row chi_{(0,x),(0,x)} of that diagonal, 2**(n+1) - 1 entries that
@@ -45,7 +46,6 @@ import numpy as np
 from .core import (
     ConsistencyError,
     ErrorBasis,
-    ErrorIndex,
     GateSpec,
     _check_qubit_count,
     _frozen,
@@ -358,14 +358,17 @@ def process_fidelity(chi: ChiMatrix) -> float:
     return float(value.real)
 
 
-def error_probabilities(chi: ChiMatrix) -> dict[ErrorIndex, float]:
-    """Diagonal of the process matrix keyed by (phase_mask, amp_mask) pairs.
+def error_probabilities(chi: ChiMatrix) -> dict[tuple[int, int], float]:
+    """Diagonal of the process matrix keyed by (phase_mask, amp_mask) tuples.
+
+    Entry a is keyed by (a >> n, a & (2**n - 1)): key (z, x) is flat index
+    (z << n) + x, and sorted keys run in flat order.
 
     The values form a probability distribution over the discrete error set:
     their sum is the trace of the process matrix, which ``ChiMatrix`` has
     already checked to be 1.
     """
     n = chi.gate.n_qubits
-    diag = np.diagonal(chi.entries).real
-    return {ErrorIndex.from_flat(a, n): float(p) for a, p in enumerate(diag)}
+    diag = np.diagonal(chi.entries).real.tolist()
+    return {(a >> n, a & ((1 << n) - 1)): p for a, p in enumerate(diag)}
 

@@ -200,11 +200,11 @@ def _chi_json(entries: np.ndarray):
 
 
 def _config_int(label: str, value) -> int:
-    """``int(value)``, with a ValueError naming the field for NaN, infinity or a non-number."""
-    try:
-        return int(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{label} must be an integer, got {value!r}") from exc
+    """``value`` as an int if it is an integral number such as 3 or 3.0 (not a bool), else a ValueError naming the field."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if not integral or isinstance(value, bool):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:

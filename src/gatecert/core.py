@@ -29,7 +29,6 @@ __all__ = [
     "CapacityError",
     "ConsistencyError",
     "GateSpec",
-    "ErrorIndex",
     "ErrorBasis",
     "build_error_basis",
     "orthogonality_residual",
@@ -129,39 +128,6 @@ class GateSpec:
     def identity(cls, n_qubits: int) -> "GateSpec":
         n = _check_qubit_count(n_qubits)
         return cls(n, np.eye(1 << n), name="identity")
-
-
-@dataclass(frozen=True)
-class ErrorIndex:
-    """Pair of bit masks selecting one error operator.
-
-    ``phase_mask`` bit k set means a phase flip acts on qubit k; ``amp_mask``
-    bit k set means a bit flip acts on qubit k.  Mask bits address qubits with
-    qubit 0 as the most significant bit, matching basis-state indices.
-    """
-
-    phase_mask: int
-    amp_mask: int
-
-    def __post_init__(self):
-        for label, mask in (("phase_mask", self.phase_mask), ("amp_mask", self.amp_mask)):
-            if not isinstance(mask, (int, np.integer)) or mask < 0:
-                raise ValueError(f"{label} must be a non-negative integer, got {mask!r}")
-        object.__setattr__(self, "phase_mask", int(self.phase_mask))
-        object.__setattr__(self, "amp_mask", int(self.amp_mask))
-
-    def flat(self, n_qubits: int) -> int:
-        """Row index of this error in the flattened basis: phase-mask-major."""
-        limit = 1 << n_qubits
-        if self.phase_mask >= limit or self.amp_mask >= limit:
-            raise ValueError(f"masks {self} out of range for {n_qubits} qubit(s)")
-        return (self.phase_mask << n_qubits) + self.amp_mask
-
-    @classmethod
-    def from_flat(cls, index: int, n_qubits: int) -> "ErrorIndex":
-        if not 0 <= index < 1 << (2 * n_qubits):
-            raise ValueError(f"flat index {index} out of range for {n_qubits} qubit(s)")
-        return cls(index >> n_qubits, index & ((1 << n_qubits) - 1))
 
 
 @dataclass(frozen=True)

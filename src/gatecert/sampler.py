@@ -40,8 +40,9 @@ class ShotPlan:
     basis: str
 
     def __post_init__(self):
-        if self.shots_per_input < 1:
-            raise ValueError(f"shots_per_input must be at least 1, got {self.shots_per_input!r}")
+        # numpy's binomial draw takes the shot count as an int64
+        if not 1 <= self.shots_per_input <= np.iinfo(np.int64).max:
+            raise ValueError(f"shots_per_input must lie in [1, {np.iinfo(np.int64).max}], got {self.shots_per_input!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.basis not in BASES:
@@ -76,10 +77,10 @@ def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> Fidelit
     seeded from the plan, so a given (channel, gate, plan) triple always
     produces identical counts.
     """
-    table, _ = classical_fidelity(channel, gate, plan.basis)
+    probabilities, _ = classical_fidelity(channel, gate, plan.basis)
     rng = np.random.default_rng(plan.seed)
     shots = plan.shots_per_input
-    counts = dict(enumerate(rng.binomial(shots, table.probabilities).tolist()))
+    counts = dict(enumerate(rng.binomial(shots, probabilities).tolist()))
     total = shots * len(counts)
     pooled = sum(counts.values()) / total
     std_error = float(np.sqrt(pooled * (1.0 - pooled) / total))

@@ -20,7 +20,6 @@ from gatecert.certify import (
     CAPABILITY_THRESHOLD,
     VIOLATION_THRESHOLD,
     FidelityReport,
-    TransferTable,
     capability_bound,
     certify,
     classical_fidelity,
@@ -120,9 +119,9 @@ def test_classical_fidelity_of_the_perfect_gate():
     gate = ghz_chain_gate(3)
     ch = unitary_channel(gate.u00)
     for basis in ("z", "x"):
-        table, fidelity = classical_fidelity(ch, gate, basis)
+        probabilities, fidelity = classical_fidelity(ch, gate, basis)
         assert fidelity == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(table.probabilities, 1.0, atol=1e-12)
+        assert np.allclose(probabilities, 1.0, atol=1e-12)
 
 
 def test_classical_fidelity_closed_form_under_depolarizing():
@@ -196,24 +195,34 @@ def test_transfer_probabilities_match_density_matrix_propagation(n_qubits):
         noise = random_cptp(n_qubits, rank, seed=int(rng.integers(1 << 30)))
         ch = Channel(n_qubits, noise.kraus_ops @ u)
         for basis in ("z", "x"):
-            table, fidelity = classical_fidelity(ch, gate, basis)
+            probabilities, fidelity = classical_fidelity(ch, gate, basis)
             expected = transfer_probabilities(ch.kraus_ops, u, product_inputs(n_qubits, basis))
-            assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+            assert np.max(np.abs(probabilities - expected)) < 1e-12
             assert fidelity == pytest.approx(float(np.mean(expected)), abs=1e-12)
 
 
-def test_transfer_table_validation():
-    with pytest.raises(ValueError):
-        TransferTable("y", np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        TransferTable("z", np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        TransferTable("z", np.array([0.5, 0.5, 0.5]))
+@pytest.mark.parametrize("basis", ["z", "x"])
+def test_classical_fidelity_returns_a_read_only_vector_and_its_mean(basis):
+    gate = ghz_chain_gate(3)
+    channel = noisy_gate(gate, NoiseSpec("random_cptp", rank=5, seed=17))
+    probabilities, fidelity = classical_fidelity(channel, gate, basis)
+    assert probabilities.dtype == np.float64
+    assert probabilities.shape == (8,)
+    assert not probabilities.flags.writeable
+    assert fidelity == float(np.mean(probabilities))
 
 
-def test_transfer_table_rejects_a_nan_probability():
-    with pytest.raises(ValueError, match="outside"):
-        TransferTable("z", np.array([np.nan, 0.5]))
+@pytest.mark.parametrize("kind", ["dephasing_per_qubit", "depolarizing_global"])
+def test_a_probability_outside_the_unit_interval_is_an_internal_inconsistency(monkeypatch, kind):
+    # a complementary frame scaled by 1.5 scales every fx-sweep probability by
+    # 1.5**4, on the per-operator route (rank 8) and the frame route (rank 64)
+    certify_module = importlib.import_module("gatecert.certify")
+    frame_of = certify_module._input_frame
+    monkeypatch.setattr(certify_module, "_input_frame", lambda n, basis: 1.5 * frame_of(n, basis))
+    gate = ghz_chain_gate(3)
+    channel = noisy_gate(gate, NoiseSpec(kind, 0.1))
+    with pytest.raises(ConsistencyError, match=r"outside \[0, 1\]"):
+        classical_fidelity(channel, gate, "x")
 
 
 def test_diagonal_identity_residuals_are_tiny():
@@ -351,8 +360,8 @@ def test_certify_rejects_a_transfer_fidelity_off_the_chi_diagonal(monkeypatch):
     exact = certify_module.classical_fidelity
 
     def shifted(channel, gate, basis):
-        table, value = exact(channel, gate, basis)
-        return table, value + 1e-6
+        probabilities, value = exact(channel, gate, basis)
+        return probabilities, value + 1e-6
 
     monkeypatch.setattr(certify_module, "classical_fidelity", shifted)
     gate = ghz_chain_gate(3)
@@ -416,9 +425,9 @@ def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, ran
     assert np.max(np.abs(bit - np.diagonal(chi).real[:d])) < 1e-12
     fidelities = {}
     for basis in ("z", "x"):
-        table, fidelities[basis] = classical_fidelity(channel, gate, basis)
+        probabilities, fidelities[basis] = classical_fidelity(channel, gate, basis)
         expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))
-        assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+        assert np.max(np.abs(probabilities - expected)) < 1e-12
     assert abs(fidelities["x"] - float(np.sum(bit))) < 1e-12
 
 
@@ -435,9 +444,9 @@ def test_complementary_sweep_streams_the_kraus_stack():
     # full rank takes the frame route: one product of the stack, read in
     # place, with the (4**n x 2**n) frame, so no propagated copy is made
     channel, gate = _full_rank_depolarized_haar_gate()
-    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
+    (probabilities, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
     expected = transfer_probabilities(channel.kraus_ops, gate.u00, product_inputs(4, "x"))
-    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert np.max(np.abs(probabilities - expected)) < 1e-12
     assert peak <= 0.25 * channel.kraus_ops.nbytes
 
 
@@ -446,9 +455,9 @@ def test_per_operator_complementary_sweep_streams_the_kraus_stack():
     # frame on its own, so no propagated copy of the whole stack is made
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(9), 32))
     channel = random_cptp(5, 127, seed=5127)
-    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
+    (probabilities, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "x"))
     expected = transfer_probabilities(channel.kraus_ops, gate.u00, product_inputs(5, "x"))
-    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert np.max(np.abs(probabilities - expected)) < 1e-12
     assert peak <= 0.25 * channel.kraus_ops.nbytes
 
 
@@ -466,9 +475,9 @@ def test_a_skewed_complementary_frame_fails_the_bit_row_identity(monkeypatch, ra
 
 def test_computational_sweep_reads_the_kraus_stack_in_place():
     channel, gate = _full_rank_depolarized_haar_gate()
-    (table, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "z"))
+    (probabilities, _), peak = allocation_peak(lambda: classical_fidelity(channel, gate, "z"))
     expected = transfer_probabilities(channel.kraus_ops, gate.u00, np.eye(16))
-    assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+    assert np.max(np.abs(probabilities - expected)) < 1e-12
     assert peak < 0.1 * channel.kraus_ops.nbytes
 
 

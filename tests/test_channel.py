@@ -14,7 +14,6 @@ from gatecert.channel import (
 )
 from gatecert.core import (
     ConsistencyError,
-    ErrorIndex,
     GateSpec,
     _kraus_blocks,
     build_error_basis,
@@ -484,17 +483,21 @@ def test_error_probabilities_for_a_phase_error_on_qubit_zero():
     gate = GateSpec.from_matrix(CNOT, name="cnot")
     ch = unitary_channel(np.kron(Z, I2) @ CNOT)
     probs = error_probabilities(kraus_to_chi(ch, gate))
-    assert probs[ErrorIndex(2, 0)] == pytest.approx(1.0, abs=1e-12)
+    assert probs[(2, 0)] == pytest.approx(1.0, abs=1e-12)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
-    others = [v for k, v in probs.items() if k != ErrorIndex(2, 0)]
+    others = [v for k, v in probs.items() if k != (2, 0)]
     assert np.allclose(others, 0.0, atol=1e-12)
 
 
 def test_error_probabilities_keys_cover_all_masks():
     gate = GateSpec.identity(2)
-    probs = error_probabilities(kraus_to_chi(random_cptp(2, 4, seed=2), gate))
+    chi = kraus_to_chi(random_cptp(2, 4, seed=2), gate)
+    probs = error_probabilities(chi)
     assert len(probs) == 16
-    assert all(isinstance(k, ErrorIndex) for k in probs)
+    # key (z, x) holds diagonal entry (z << n) + x, and sorted keys run in that order
+    assert sorted(probs) == [(z, x) for z in range(4) for x in range(4)]
+    for (z, x), p in probs.items():
+        assert p == float(chi.entries[(z << 2) + x, (z << 2) + x].real)
 
 
 def test_kraus_to_chi_rejects_mismatched_basis():

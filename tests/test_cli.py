@@ -98,7 +98,7 @@ def test_certify_rejects_non_unitary_matrix(tmp_path, capsys):
 def test_nearly_unitary_matrix_fails_at_the_gate_not_at_the_probabilities(tmp_path, capsys):
     # residual 0.9e-10 passed a 1e-10 unitarity check, and the z-sweep
     # probability (u^dag u)_00**2 = 1 + 1.8e-10 then failed the range check
-    # of the transfer table with a message that named no cause
+    # of the transfer probabilities with a message that named no cause
     matrix = [[[float(np.sqrt(1.0 + 0.9e-10)), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"gate": {"matrix": matrix}}))
@@ -306,6 +306,68 @@ def test_non_finite_config_integers_are_rejected_by_name(tmp_path, capsys, field
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field in err
+
+
+def _sample_config(qubits=2, shots=10, seed=4, rank=2):
+    return {
+        "gate": {"builtin": "ghz-chain", "qubits": qubits},
+        "noise": {"kind": "random_cptp", "rank": rank, "seed": 7},
+        "shots": shots,
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize(
+    "field,value", [("qubits", 2.7), ("shots", 10.5), ("seed", -0.5), ("rank", 2.9), ("qubits", True), ("shots", "10")]
+)
+def test_fractional_or_non_numeric_config_integers_are_rejected_by_name(tmp_path, capsys, field, value):
+    config = _sample_config(**{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, doc = run(tmp_path, "sample", "--config", str(path))
+    assert code == 1
+    assert doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{field} must be an integer" in err
+
+
+def test_integral_float_config_integers_pass(tmp_path):
+    for name, config in (("ints", _sample_config()), ("floats", _sample_config(2.0, 10.0, 4.0, 2.0))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(path), "--output", str(tmp_path / f"{name}-report.json")]) == 0
+    assert (tmp_path / "ints-report.json").read_bytes() == (tmp_path / "floats-report.json").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_shots_beyond_the_int64_range_are_rejected(tmp_path, capsys, source):
+    too_many = int(np.iinfo(np.int64).max) + 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sample_config(shots=too_many)))
+    argv = ["--config", str(path)]
+    if source == "flag":
+        argv = ["--gate", "ghz-chain", "--qubits", "2", "--noise", "dephasing_per_qubit:0.1", "--shots", str(too_many)]
+    code, doc = run(tmp_path, "sample", *argv)
+    assert code == 1
+    assert doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(too_many - 1) in err
+
+
+def test_a_transfer_probability_outside_the_unit_interval_exits_as_an_internal_inconsistency(
+    tmp_path, capsys, monkeypatch
+):
+    # the kind of fault the frame-skew tests inject: the complementary frame
+    # scaled by 1.5 pushes every fx-sweep probability far above 1
+    certify_module = importlib.import_module("gatecert.certify")
+    frame_of = certify_module._input_frame
+    monkeypatch.setattr(certify_module, "_input_frame", lambda n, basis: 1.5 * frame_of(n, basis))
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3", "--noise", "dephasing_per_qubit:0.1")
+    assert code == 2
+    assert doc is None
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_sample_command_round_trips_and_is_seeded(tmp_path):

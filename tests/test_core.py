@@ -10,7 +10,6 @@ from gatecert.core import (
     _walsh_signs,
     CapacityError,
     ErrorBasis,
-    ErrorIndex,
     GateSpec,
     build_error_basis,
     orthogonality_residual,
@@ -83,17 +82,9 @@ def test_error_operator_two_qubit_hand_product():
     assert np.array_equal(got, np.kron(Z, Z @ X))
 
 
-def test_error_operator_masks_out_of_range():
-    with pytest.raises(ValueError):
-        ErrorIndex(4, 0).flat(2)
-    with pytest.raises(ValueError):
-        ErrorIndex(-1, 0)
-
-
 def test_error_operators_are_unitary():
     for flat in range(16):
-        idx = ErrorIndex.from_flat(flat, 2)
-        op = _pauli_products([idx.phase_mask], [idx.amp_mask], 2)[0]
+        op = _pauli_products([flat >> 2], [flat & 3], 2)[0]
         gram = op.conj().T @ op
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
@@ -122,12 +113,6 @@ def test_scaled_pauli_stack_matches_the_weighted_kron_of_factors_bit_for_bit(n_q
         for k, a in enumerate(picked):
             expected = pauli_product(a >> n_qubits, a % d, n_qubits) * weights[k]
             assert np.array_equal(stack[k], expected)
-
-
-def test_error_index_flat_round_trip():
-    for flat in range(64):
-        idx = ErrorIndex.from_flat(flat, 3)
-        assert idx.flat(3) == flat
 
 
 def test_basis_ordering_for_single_qubit_identity():
@@ -247,7 +232,7 @@ def test_orthogonality_residual_builds_no_basis():
 
 def test_basis_operator_lookup():
     basis = build_error_basis(GateSpec.from_matrix(CNOT))
-    op = basis.operators[ErrorIndex(2, 0).flat(2)]
+    op = basis.operators[(2 << 2) + 0]
     assert np.array_equal(op, CNOT @ np.kron(Z, I2))
 
 

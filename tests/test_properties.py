@@ -46,9 +46,9 @@ def test_certify_path_matches_the_references(drawn, distortion_seed):
     assert np.max(np.abs(bit - np.diagonal(chi).real[:d])) < 1e-12
 
     for basis in ("z", "x"):
-        table, _ = classical_fidelity(channel, gate, basis)
+        probabilities, _ = classical_fidelity(channel, gate, basis)
         expected = transfer_probabilities(kraus, u, product_inputs(n_qubits, basis))
-        assert np.max(np.abs(table.probabilities - expected)) < 1e-12
+        assert np.max(np.abs(probabilities - expected)) < 1e-12
 
     # a Ginibre distortion makes every entry of sum K^dag K, imaginary parts
     # included, differ from the identity

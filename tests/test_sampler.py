@@ -19,6 +19,9 @@ def test_shot_plan_validation():
         ShotPlan(10, -1, "z")
     with pytest.raises(ValueError):
         ShotPlan(10, 1, "y")
+    ShotPlan(int(np.iinfo(np.int64).max), 1, "z")
+    with pytest.raises(ValueError, match=str(np.iinfo(np.int64).max)):
+        ShotPlan(int(np.iinfo(np.int64).max) + 1, 1, "z")
 
 
 def test_perfect_gate_sampling_is_noiseless():
