@@ -1,6 +1,7 @@
 """Command-line front end and the JSON report format.
 
-Three subcommands, each taking only the flags it reads:
+Three subcommands, each taking only the flags it reads; a flag wins over the
+same setting of ``--config``, whose every field ``_config_value`` reads:
 
 * ``certify``: run the two-basis certification (exact or sampled) and write
   a JSON report; all nine flags.
@@ -11,10 +12,11 @@ Three subcommands, each taking only the flags it reads:
   the gate settings of ``--config``.
 * ``sample``: a sampled certification run; every flag but ``--mode``.
 
-Exit codes: 0 on success, 1 on invalid input (malformed JSON, a non-unitary
-gate matrix, a qubit count over capacity, a flag the subcommand does not
-take), 2 when an internal consistency check trips, which indicates a bug
-rather than a bad invocation.
+Exit codes: 0 on success, 1 on invalid input (malformed JSON, a config field
+of the wrong type or missing, where null counts as missing, a non-unitary gate
+matrix, a qubit count over capacity, a flag the subcommand does not take), 2
+when an internal consistency check trips, which indicates a bug rather than a
+bad invocation.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ CHI_SERIALIZATION_FLOOR = 1e-14
 _ZERO_PAIR = "[0.0, 0.0]"
 
 _BUILTIN_GATES = {"ghz-chain": ghz_chain_gate}
+
+# The noun in the error message of each kind of config field.  An int field also
+# takes an integral float such as 3.0, a float field an int, and no field a bool.
+_KIND_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
 
 # The FidelityReport fields a document carries, in document order, and whether
 # ``report_from_dict`` requires them.  The last two, the standard errors, are
@@ -142,13 +149,18 @@ def matrix_to_pairs(matrix: np.ndarray, zero_floor: float = 0.0) -> list:
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
-    """Inverse of matrix_to_pairs; raises ValueError on malformed nesting."""
-    arr = np.asarray(rows, dtype=float)
+    """Inverse of matrix_to_pairs; raises ValueError on malformed nesting or an entry that is not a number."""
+    arr = np.asarray(rows, dtype=object)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(
             "matrix must be a square grid of [re, im] pairs, "
             f"got an array of shape {arr.shape}"
         )
+    # By type: a float array would take "0.5" for a number and a bool among floats for 1.0.
+    for kind in set(map(type, arr.flat)):
+        if kind is bool or not issubclass(kind, (int, float, np.integer, np.floating)):
+            raise ValueError(f"matrix entries must be numbers, got a {kind.__name__}")
+    arr = arr.astype(float)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -199,35 +211,33 @@ def _chi_json(entries: np.ndarray):
     yield "]"
 
 
-def _config_int(label: str, value) -> int:
-    """``value`` as an int if it is an integral number such as 3 or 3.0 (not a bool), else a ValueError naming the field."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if not integral or isinstance(value, bool):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return int(value)
+def _config_value(entry: dict, key: str, kind: type, default=_REQUIRED):
+    """``entry[key]`` as ``kind``; a null counts as absent and reads ``default``, and with no default is an error."""
+    value = entry.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"config needs a {key!r} field")
+        return default
+    number = kind is float and isinstance(value, int) or kind is int and isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, kind) or number):
+        raise ValueError(f"{key} must be {_KIND_NOUNS[kind]}, got {value!r}")
+    return kind(value)
 
 
-def _gate_from_settings(entry, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:
-    name = flag_gate
+def _gate_from_settings(entry: dict, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:
+    name = flag_gate if flag_gate is not None else _config_value(entry, "builtin", str, None)
     if name is None:
-        if entry is None:
-            raise ValueError("no gate specified; pass --gate or a config with a gate entry")
-        if not isinstance(entry, dict):
-            raise ValueError(f"config gate entry must be an object, got {type(entry).__name__}")
-        if "builtin" not in entry:
-            if "matrix" not in entry:
-                raise ValueError("config gate entry must contain 'builtin' or 'matrix'")
-            return GateSpec.from_matrix(pairs_to_matrix(entry["matrix"]), name=entry.get("name"))
-        name = entry["builtin"]
+        matrix = _config_value(entry, "matrix", list, None)
+        if matrix is None:
+            raise ValueError("no gate specified; pass --gate or a config gate entry with 'builtin' or 'matrix'")
+        return GateSpec.from_matrix(pairs_to_matrix(matrix), name=_config_value(entry, "name", str, None))
     builder = _BUILTIN_GATES.get(name)
     if builder is None:
         raise ValueError(f"unknown builtin gate {name!r}; available: {sorted(_BUILTIN_GATES)}")
-    qubits = flag_qubits
-    if qubits is None and isinstance(entry, dict):
-        qubits = entry.get("qubits")
+    qubits = flag_qubits if flag_qubits is not None else _config_value(entry, "qubits", int, None)
     if qubits is None:
         raise ValueError("a builtin gate needs --qubits or a config qubit count")
-    return builder(_config_int("qubits", qubits))
+    return builder(qubits)
 
 
 def _noise_from_flag(text: str) -> NoiseSpec:
@@ -239,17 +249,16 @@ def _noise_from_flag(text: str) -> NoiseSpec:
     return NoiseSpec(kind=kind, strength=float(value))
 
 
-def _noise_from_entry(entry) -> NoiseSpec:
-    if not isinstance(entry, dict) or "kind" not in entry:
+def _noise_from_settings(settings: dict) -> NoiseSpec | None:
+    entry = _config_value(settings, "noise", dict, None)
+    if entry is None:
+        return None
+    kind = _config_value(entry, "kind", str, None)
+    if kind is None:
         raise ValueError("config noise entry must be an object with a 'kind' field")
-    kind = entry["kind"]
     if kind == "random_cptp":
-        return NoiseSpec(
-            kind=kind,
-            rank=_config_int("rank", entry["rank"]),
-            seed=_config_int("seed", entry["seed"]),
-        )
-    return NoiseSpec(kind=kind, strength=float(entry["p"]))
+        return NoiseSpec(kind=kind, rank=_config_value(entry, "rank", int), seed=_config_value(entry, "seed", int))
+    return NoiseSpec(kind=kind, strength=_config_value(entry, "p", float))
 
 
 def run_config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -260,26 +269,16 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
             settings = json.load(handle)
         if not isinstance(settings, dict):
             raise ValueError("config file must contain a JSON object")
-    gate = _gate_from_settings(settings.get("gate"), args.gate, args.qubits)
+    gate = _gate_from_settings(_config_value(settings, "gate", dict, {}), args.gate, args.qubits)
     if args.command == "basis-check":
         return RunConfig(gate=gate)
-    if args.noise is not None:
-        noise = _noise_from_flag(args.noise)
-    elif settings.get("noise") is not None:
-        noise = _noise_from_entry(settings["noise"])
-    else:
-        noise = None
-    mode = "sampled" if args.command == "sample" else args.mode or settings.get("mode") or "exact"
-    shots = args.shots if args.shots is not None else settings.get("shots")
-    seed = args.seed if args.seed is not None else settings.get("seed", 0)
-    output = args.output if args.output is not None else settings.get("output", "-")
     return RunConfig(
         gate=gate,
-        noise=noise,
-        mode=mode,
-        shots=None if shots is None else _config_int("shots", shots),
-        seed=_config_int("seed", seed),
-        output=output,
+        noise=_noise_from_flag(args.noise) if args.noise is not None else _noise_from_settings(settings),
+        mode="sampled" if args.command == "sample" else args.mode or _config_value(settings, "mode", str, "exact"),
+        shots=args.shots if args.shots is not None else _config_value(settings, "shots", int, None),
+        seed=args.seed if args.seed is not None else _config_value(settings, "seed", int, 0),
+        output=args.output if args.output is not None else _config_value(settings, "output", str, "-"),
         include_chi=args.include_chi,
     )
 

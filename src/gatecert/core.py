@@ -79,7 +79,7 @@ def _check_qubit_count(n_qubits) -> int:
     if n_qubits > MAX_QUBITS:
         raise CapacityError(
             f"{n_qubits} qubit(s) exceeds the supported maximum of {MAX_QUBITS}; "
-            f"the full process matrix would hold {1 << (4 * n_qubits)} complex entries"
+            f"the full process matrix would hold 16**{n_qubits} complex entries"
         )
     return int(n_qubits)
 

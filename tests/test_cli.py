@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -246,6 +247,22 @@ def test_basis_check_over_capacity(capsys):
     assert "maximum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source", [["--gate", "ghz-chain", "--qubits", "100000"], 1e300, 10**400 - 1], ids=["flag", "1e300", "400-digits"]
+)
+def test_a_huge_qubit_count_is_refused_by_the_capacity_message(tmp_path, monkeypatch, capsys, source):
+    # the message names the size as 16**n, so no huge integer is built or printed
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": source}}))
+    argv = source if isinstance(source, list) else ["--config", str(path)]
+    assert main(["certify", *argv, "--output", "report.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "exceeds the supported maximum of 6" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_certify_over_capacity_fails_fast(capsys):
     # must exit promptly with code 1, not grind through a 512-state sweep
     start = time.monotonic()
@@ -317,19 +334,83 @@ def _sample_config(qubits=2, shots=10, seed=4, rank=2):
     }
 
 
+def _cnot_config(first_entry=1.0, **gate_fields):
+    """The CNOT as a config matrix, its first real part replaced by ``first_entry``."""
+    pairs = matrix_to_pairs(ghz_chain_gate(2).u00)
+    pairs[0][0][0] = first_entry
+    return {"gate": {"matrix": pairs, **gate_fields}}
+
+
+# (id, subcommand, the settings replacing those of _sample_config, expected message)
+WRONG_CONFIG_FIELDS = [
+    ("qubits-2.7", "sample", {"gate": {"builtin": "ghz-chain", "qubits": 2.7}}, "qubits must be an integer"),
+    ("shots-10.5", "sample", {"shots": 10.5}, "shots must be an integer"),
+    ("seed--0.5", "sample", {"seed": -0.5}, "seed must be an integer"),
+    ("rank-2.9", "sample", {"noise": {"kind": "random_cptp", "rank": 2.9, "seed": 7}}, "rank must be an integer"),
+    ("qubits-True", "sample", {"gate": {"builtin": "ghz-chain", "qubits": True}}, "qubits must be an integer"),
+    ("shots-10", "sample", {"shots": "10"}, "shots must be an integer"),
+    ("p-True", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": True}}, "p must be a number, got True"),
+    ("p-string", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": "0.3"}}, "p must be a number, got '0.3'"),
+    ("output-2", "sample", {"output": 2}, "output must be a string, got 2"),
+    ("output-True", "sample", {"output": True}, "output must be a string, got True"),
+    ("mode-empty", "certify", {"mode": ""}, "mode must be 'exact' or 'sampled', got ''"),
+    ("mode-False", "certify", {"mode": False}, "mode must be a string, got False"),
+    ("name-5", "certify", _cnot_config(name=5), "name must be a string, got 5"),
+    ("kind-3", "sample", {"noise": {"kind": 3, "p": 0.1}}, "kind must be a string, got 3"),
+    ("builtin-3", "sample", {"gate": {"builtin": 3, "qubits": 2}}, "builtin must be a string, got 3"),
+    ("matrix-string-entry", "certify", _cnot_config("1.0"), "matrix entries must be numbers, got a str"),
+    ("matrix-bool-entry", "certify", _cnot_config(True), "matrix entries must be numbers, got a bool"),
+    ("p-missing", "sample", {"noise": {"kind": "dephasing_per_qubit"}}, "config needs a 'p' field"),
+    ("rank-missing", "sample", {"noise": {"kind": "random_cptp", "seed": 7}}, "config needs a 'rank' field"),
+    ("seed-missing", "sample", {"noise": {"kind": "random_cptp", "rank": 2}}, "config needs a 'seed' field"),
+]
+
+
 @pytest.mark.parametrize(
-    "field,value", [("qubits", 2.7), ("shots", 10.5), ("seed", -0.5), ("rank", 2.9), ("qubits", True), ("shots", "10")]
+    "command,settings,message",
+    [case[1:] for case in WRONG_CONFIG_FIELDS],
+    ids=[case[0] for case in WRONG_CONFIG_FIELDS],
 )
-def test_fractional_or_non_numeric_config_integers_are_rejected_by_name(tmp_path, capsys, field, value):
-    config = _sample_config(**{field: value})
+def test_fractional_or_non_numeric_config_integers_are_rejected_by_name(
+    tmp_path, monkeypatch, capsys, command, settings, message
+):
+    # every config field has one type rule; a wrong or missing field exits 1
+    # with a message naming it, and nothing is written
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, doc = run(tmp_path, "sample", "--config", str(path))
-    assert code == 1
-    assert doc is None
-    err = capsys.readouterr().err
+    path.write_text(json.dumps({**_sample_config(), **settings}))
+    assert main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:")
-    assert f"{field} must be an integer" in err
+    assert message in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_null_config_field_counts_as_absent(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    plain, nulls = tmp_path / "plain.json", tmp_path / "nulls.json"
+    plain.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 2}}))
+    fields = ("noise", "mode", "shots", "seed", "output")
+    gate = {"builtin": "ghz-chain", "qubits": 2, "matrix": None, "name": None}
+    nulls.write_text(json.dumps({"gate": gate, **dict.fromkeys(fields)}))
+    for path in (plain, nulls):
+        config = cli.run_config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
+        resolved = (config.gate.name, *(getattr(config, field) for field in fields))
+        assert resolved == ("ghz-chain", None, "exact", None, 0, "-")
+    # the report goes to stdout, not to open(None)
+    assert main(["certify", "--config", str(nulls)]) == 0
+    assert json.loads(capsys.readouterr().out)["gate"] == {"name": "ghz-chain", "qubits": 2}
+    assert sorted(tmp_path.iterdir()) == [nulls, plain]
+
+
+def test_a_config_output_that_is_not_a_path_leaves_the_callers_descriptors_open(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 2}, "output": 2}))
+    assert main(["certify", "--config", str(path)]) == 1
+    assert "output must be a string" in capsys.readouterr().err
+    os.fstat(1)
+    os.fstat(2)
 
 
 def test_integral_float_config_integers_pass(tmp_path):
@@ -666,3 +747,16 @@ def test_the_benchmark_replay_resolves_every_cli_request_shape(tmp_path):
         assert args.command == argv[0]
         config = cli.run_config_from_args(args)
         assert (config.gate.n_qubits, config.mode, config.shots, config.include_chi) == expected
+
+
+def test_the_readme_config_example_resolves_to_the_settings_it_shows(tmp_path):
+    # the config reference and the reader cannot drift apart
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(example))
+    config = cli.run_config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
+    gate, noise = example["gate"], example["noise"]
+    assert (config.gate.name, config.gate.n_qubits) == (gate["builtin"], gate["qubits"])
+    assert config.noise == NoiseSpec(noise["kind"], noise["p"])
+    assert (config.mode, config.shots, config.seed) == (example["mode"], example["shots"], example["seed"])
