@@ -23,10 +23,13 @@ arXiv:2310.13421).  All coefficients cost O(m 8**n) instead of O(m 16**n).
 The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
 +-1, integer sums), so S inverts the transform exactly and no run rebuilds G
 to check it; the tests check the identity.  A wrong sign or normalization
-still breaks Parseval: the error probabilities must sum to
-Tr(sum_m K_m^dag K_m) / 2**n = 1, and a process matrix whose diagonal does
-not is a bug, reported as ConsistencyError.  ``error_probabilities`` hands
-that diagonal out keyed by plain (phase_mask, amp_mask) = (z, x) tuples.
+still breaks Parseval: sum_a |c_{m,a}|**2 = Tr(K_m^dag K_m) / 2**n, so the
+squared Frobenius norm of the coefficient matrix, which is the trace of chi,
+must be Tr(sum_m K_m^dag K_m) / 2**n = 1.  ``ChiMatrix`` holds that matrix
+and checks the trace, and a ``kraus_to_chi`` result that fails it is a bug,
+reported as ConsistencyError.  ``error_probabilities`` hands out the diagonal
+of chi, the squared row norms of the coefficient matrix, keyed by plain
+(phase_mask, amp_mask) = (z, x) tuples.
 
 Certification reads only the phase-only column chi_{(z,0),(z,0)} and the
 bit-only row chi_{(0,x),(0,x)} of that diagonal, 2**(n+1) - 1 entries that
@@ -40,6 +43,7 @@ most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,48 +119,41 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChiMatrix:
-    """Process matrix of a channel relative to a target gate.
+    """Process matrix chi = C C^dag of a channel relative to a target gate, held as C.
 
-    Rows and columns are addressed by the flat error index
-    a = (phase_mask << n_qubits) + amp_mask.  The matrix is Hermitian,
-    positive semidefinite and has unit trace; its diagonal is the error
-    probability distribution.
+    Row a of the 4**n x r coefficient matrix C belongs to the flat error index
+    a = (phase_mask << n_qubits) + amp_mask, and column k expands one Kraus
+    operator.  For every vector v, v^dag chi v = ||C^dag v||^2 >= 0, so chi
+    is Hermitian and positive semidefinite by representation, and its
+    diagonal chi_{a,a} = ||C[a]||^2, the error probability distribution, is
+    real and non-negative.  A dense chi is wrapped by factoring it first:
+    eigh gives C = V sqrt(Lambda), with rounding-level negative eigenvalues
+    clipped to zero.
 
-    Construction checks the diagonal and the trace in O(4**n), so a NaN or
-    infinite diagonal entry fails the [0, 1] check, and then the hermiticity,
-    one block of rows at a time, which rejects NaN and infinite entries
-    anywhere else.
-    Positivity is not re-checked by an eigendecomposition: the library builds
-    a ChiMatrix only in ``kraus_to_chi``, as the Gram matrix
-    chi = C^T (C^T)^dag of the coefficient matrix, so for every vector v,
-    v^dag chi v = ||(C^T)^dag v||^2 >= 0.  The frozen product ``kraus_to_chi``
-    hands over is taken over without a copy, by the rule of ``core._readonly``.
+    Construction checks the shape and the unit trace Tr chi = ||C||_F^2, which
+    also bounds every diagonal entry by 1 and rejects a NaN or infinite
+    coefficient.  A frozen C is taken over without a copy, by the rule of
+    ``core._readonly``.  ``entries`` forms the dense 4**n x 4**n chi when it
+    is first read and keeps it; in the package only serialization reads it.
     """
 
     gate: GateSpec
-    entries: np.ndarray
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        mat = _readonly(self.entries)
+        coeffs = _readonly(self.coefficients)
         q = 1 << (2 * self.gate.n_qubits)
-        if mat.shape != (q, q):
-            raise ValueError(f"expected a {q} x {q} process matrix, got shape {mat.shape}")
-        diag = np.diagonal(mat)
-        low, high = float(np.min(diag.real)), float(np.max(diag.real))
-        if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
-            raise ValueError("process-matrix diagonal entries must lie in [0, 1]")
-        if not float(np.max(np.abs(diag.imag))) <= TOL.chi_diagonal:
-            raise ValueError("process-matrix diagonal has a non-real entry")
-        trace = complex(np.trace(mat))
+        if coeffs.ndim != 2 or coeffs.shape[0] != q or coeffs.shape[1] < 1:
+            raise ValueError(f"expected a {q} x r coefficient matrix with r >= 1, got shape {coeffs.shape}")
+        trace = float(np.vdot(coeffs, coeffs).real)
         if not abs(trace - 1.0) <= TOL.chi_trace:
             raise ValueError(f"process matrix must have unit trace, got {trace!r}")
-        # A row of chi holds 4**n = (2**n)**2 entries, as many as one Kraus
-        # operator, so the Kraus blocks bound each row block to 64 KiB.
-        for rows in _kraus_blocks(q, 1 << self.gate.n_qubits):
-            herm = float(np.max(np.abs(mat[rows] - mat[:, rows].T.conj())))
-            if not herm <= TOL.chi_hermiticity:
-                raise ValueError(f"process matrix is not Hermitian: max deviation {herm:.3e}")
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "coefficients", coeffs)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The read-only 4**n x 4**n chi = C C^dag."""
+        return _frozen(self.coefficients @ self.coefficients.conj().T)
 
 
 def _check_pair(channel: Channel, gate: GateSpec) -> int:
@@ -168,14 +165,13 @@ def _check_pair(channel: Channel, gate: GateSpec) -> int:
     return gate.n_qubits
 
 
-def _error_coefficients(channel: Channel, gate: GateSpec):
-    """C_b^T, the 4**n x b coefficient matrix of each block of Kraus operators, lazily.
+def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
+    """C, the 4**n x m coefficient matrix: row a, column m holds c_{m,a}.
 
-    Row a, column k of a block holds c_{m,a} for the block's k-th operator m.
-    The qubit counts are checked at once; the blocks of ``core._kraus_blocks``
-    are then transformed one at a time as the returned iterator is read, so
-    every temporary stays within one block.  Each block runs the
-    Walsh-Hadamard transform of the module docstring.
+    The qubit counts are checked first.  The blocks of ``core._kraus_blocks``
+    are then transformed one at a time, each by the Walsh-Hadamard transform
+    of the module docstring, and written into their columns of C, so every
+    temporary stays within one block.
 
     The gather lays a block's G out as one 2**n x (2**n b) matrix, row s and
     column (x, m), so the transform is a single product with the real sign
@@ -189,15 +185,13 @@ def _error_coefficients(channel: Channel, gate: GateSpec):
     columns = rows ^ rows.T
     u_dag = gate.u00.conj().T
     kraus = channel.kraus_ops
-
-    def transform(block: slice) -> np.ndarray:
+    coeffs = np.empty((d * d, channel.rank), dtype=np.complex128)
+    for block in _kraus_blocks(channel.rank, d):
         product = u_dag @ kraus[block]
         count = product.shape[0]
         gathered = product.transpose(1, 2, 0)[rows, columns].reshape(d, d * count)
-        coeffs = (scaled @ gathered.view(np.float64)).view(np.complex128)
-        return coeffs.reshape(d * d, count)
-
-    return map(transform, _kraus_blocks(channel.rank, d))
+        coeffs[:, block] = (scaled @ gathered.view(np.float64)).view(np.complex128).reshape(d * d, count)
+    return coeffs
 
 
 def _bit_frame_index(d: int, rows: int) -> np.ndarray:
@@ -324,42 +318,32 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     Computes the expansion coefficients c_{m,a} = Tr{U_a^dag K_m} / 2**n by
     the Walsh-Hadamard transform
     c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) (u00^dag K_m)[s, s ^ x] for
-    a = (z << n) + x, and assembles chi = C^T C^* in one product.  The blocks
-    of C^T are written side by side into one 4**n x m matrix, never larger than
-    chi itself; summing per-block products instead would re-read the whole
-    4**n x 4**n chi once per block.  The dense basis is never built; a
-    supplied ``basis`` is only checked to belong to ``gate``.  A chi built
-    this way from a validated channel fails the ``ChiMatrix`` checks only
-    through a bug, so such a failure raises ConsistencyError.
+    a = (z << n) + x, into one 4**n x m matrix C, the size of the Kraus stack,
+    which the returned ``ChiMatrix`` takes over; chi = C C^dag itself is formed
+    only if its ``entries`` are read.  The dense basis is never built; a
+    supplied ``basis`` is only checked to belong to ``gate``.  A C built this
+    way from a validated channel fails the unit-trace check only through a
+    bug, so such a failure raises ConsistencyError.
     """
     if basis is not None and basis.gate is not gate and not np.array_equal(
         basis.gate.u00, gate.u00
     ):
         raise ValueError("supplied basis was built for a different gate")
-    blocks = _error_coefficients(channel, gate)
-    coeffs_t = np.empty((1 << (2 * gate.n_qubits), channel.rank), dtype=np.complex128)
-    start = 0
-    for block_t in blocks:
-        coeffs_t[:, start : start + block_t.shape[1]] = block_t
-        start += block_t.shape[1]
+    coefficients = _frozen(_error_coefficients(channel, gate))
     try:
-        return ChiMatrix(gate, _frozen(coeffs_t @ coeffs_t.conj().T))
+        return ChiMatrix(gate, coefficients)
     except ValueError as exc:
         raise ConsistencyError(f"{exc}; the decomposition is broken") from exc
 
 
 def process_fidelity(chi: ChiMatrix) -> float:
-    """The no-error weight chi_{00,00}: overlap of the channel with the target gate."""
-    value = complex(chi.entries[0, 0])
-    if not abs(value.imag) <= TOL.imaginary_leak:
-        raise ConsistencyError(
-            f"process fidelity has imaginary part {value.imag:.3e}; the decomposition is broken"
-        )
-    return float(value.real)
+    """The no-error weight chi_{00,00} = ||C[0]||^2: overlap of the channel with the target gate."""
+    first = chi.coefficients[0]
+    return float(np.vdot(first, first).real)
 
 
 def error_probabilities(chi: ChiMatrix) -> dict[tuple[int, int], float]:
-    """Diagonal of the process matrix keyed by (phase_mask, amp_mask) tuples.
+    """Diagonal of the process matrix, the squared row norms of C, keyed by (phase_mask, amp_mask) tuples.
 
     Entry a is keyed by (a >> n, a & (2**n - 1)): key (z, x) is flat index
     (z << n) + x, and sorted keys run in flat order.
@@ -369,6 +353,7 @@ def error_probabilities(chi: ChiMatrix) -> dict[tuple[int, int], float]:
     already checked to be 1.
     """
     n = chi.gate.n_qubits
-    diag = np.diagonal(chi.entries).real.tolist()
+    coeffs = chi.coefficients
+    diag = np.vecdot(coeffs, coeffs).real.tolist()
     return {(a >> n, a & ((1 << n) - 1)): p for a, p in enumerate(diag)}
 

@@ -13,10 +13,10 @@ same setting of ``--config``, whose every field ``_config_value`` reads:
 * ``sample``: a sampled certification run; every flag but ``--mode``.
 
 Exit codes: 0 on success, 1 on invalid input (malformed JSON, a config field
-of the wrong type or missing, where null counts as missing, a non-unitary gate
-matrix, a qubit count over capacity, a flag the subcommand does not take), 2
-when an internal consistency check trips, which indicates a bug rather than a
-bad invocation.
+of the wrong type, too large for a float or missing, where null counts as
+missing, a non-unitary gate matrix, a qubit count over capacity, a flag the
+subcommand does not take), 2 when an internal consistency check trips, which
+indicates a bug rather than a bad invocation.
 """
 
 from __future__ import annotations
@@ -160,7 +160,10 @@ def pairs_to_matrix(rows) -> np.ndarray:
     for kind in set(map(type, arr.flat)):
         if kind is bool or not issubclass(kind, (int, float, np.integer, np.floating)):
             raise ValueError(f"matrix entries must be numbers, got a {kind.__name__}")
-    arr = arr.astype(float)
+    try:
+        arr = arr.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entries are out of range: {exc}") from None
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -221,7 +224,10 @@ def _config_value(entry: dict, key: str, kind: type, default=_REQUIRED):
     number = kind is float and isinstance(value, int) or kind is int and isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not (isinstance(value, kind) or number):
         raise ValueError(f"{key} must be {_KIND_NOUNS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ValueError(f"{key} is out of range: {exc}") from None
 
 
 def _gate_from_settings(entry: dict, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:

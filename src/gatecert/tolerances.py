@@ -22,10 +22,8 @@ class Tolerances:
     # basis-check reads is at most 2**n unitarity (core._orthogonality_bound).
     unitarity: float = 4e-11
     kraus_trace_preserving: float = 4e-11
-    chi_hermiticity: float = 1e-9
     chi_diagonal: float = 1e-9
     chi_trace: float = 1e-9
-    imaginary_leak: float = 1e-10
     diagonal_identity: float = 1e-8
     probability_slack: float = 1e-10
     bound_slack: float = 1e-9

@@ -15,7 +15,6 @@ from gatecert.channel import (
 from gatecert.core import (
     ConsistencyError,
     GateSpec,
-    _kraus_blocks,
     build_error_basis,
 )
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
@@ -247,11 +246,11 @@ def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
 
     monkeypatch.setattr(channel_module, "_walsh_signs", poisoned_signs)
     channel, gate = random_cptp(2, rank=3, seed=1), GateSpec.identity(2)
-    assert np.isnan(np.concatenate(list(_error_coefficients(channel, gate)), axis=1)).any()
+    assert np.isnan(_error_coefficients(channel, gate)).any()
     with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
         _transfer_entries(channel, gate)
-    # the NaN reaches the diagonal, which ChiMatrix checks before the hermiticity
-    with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
+    # a NaN coefficient makes the trace ||C||_F^2 NaN
+    with pytest.raises(ConsistencyError, match="unit trace"):
         kraus_to_chi(channel, gate)
 
 
@@ -338,11 +337,11 @@ def test_chi_00_checks_the_qubit_counts():
 
 
 def test_error_distribution_check_rejects_nan():
-    # the trace of a ChiMatrix is the sum of its diagonal, so a NaN trace
-    # comes only with a NaN diagonal entry, which the [0, 1] check meets first
-    entries = np.diag([1.0, np.nan, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ChiMatrix(GateSpec.identity(1), entries)
+    # the trace ||C||_F^2 sums every squared coefficient, so one NaN
+    # coefficient makes it NaN, and a NaN fails the unit-trace check
+    coefficients = np.array([[1.0], [np.nan], [0.0], [0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="unit trace"):
+        ChiMatrix(GateSpec.identity(1), coefficients)
 
 
 def test_chi_is_invariant_under_kraus_reordering():
@@ -364,63 +363,73 @@ def test_chi_trace_is_one_for_random_channels():
 
 def test_chi_matrix_rejects_bad_entries():
     gate = GateSpec.identity(1)
-    bad_trace = np.zeros((4, 4))
-    bad_trace[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        ChiMatrix(gate, bad_trace)
-    not_hermitian = np.zeros((4, 4), dtype=complex)
-    not_hermitian[0, 0] = 1.0
-    not_hermitian[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        ChiMatrix(gate, not_hermitian)
-    nan_entry = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    nan_entry[1, 2] = np.nan
-    with pytest.raises(ValueError, match="Hermitian"):
-        ChiMatrix(gate, nan_entry)
-    inf_entry = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    inf_entry[1, 2] = np.inf
-    with pytest.raises(ValueError, match="Hermitian"):
-        ChiMatrix(gate, inf_entry)
+    with pytest.raises(ValueError, match="unit trace"):
+        ChiMatrix(gate, np.sqrt(2.0) * np.eye(4, 1))
+    # read as C, the non-positive chi with chi_00 = 1 and chi_01 = chi_10 = 0.5
+    # has ||C||_F^2 = 1.5; as chi it would have the eigenvalue -0.207
+    not_positive = np.zeros((4, 4), dtype=complex)
+    not_positive[0, 0] = 1.0
+    not_positive[0, 1] = not_positive[1, 0] = 0.5
+    with pytest.raises(ValueError, match="unit trace"):
+        ChiMatrix(gate, not_positive)
+    for value in (np.nan, np.inf):
+        bad_entry = np.eye(4, 2, dtype=complex) / np.sqrt(2.0)
+        bad_entry[2, 1] = value
+        with pytest.raises(ValueError, match="unit trace"):
+            ChiMatrix(gate, bad_entry)
+    for shape in ((3, 1), (4, 0), (4,), (4, 1, 1)):
+        with pytest.raises(ValueError, match="coefficient matrix"):
+            ChiMatrix(gate, np.ones(shape) / 2.0)
 
 
-@pytest.mark.parametrize(
-    "row,column,value",
-    [
-        pytest.param(250, 245, 1e-3, id="asymmetric-last-block"),
-        pytest.param(251, 241, np.nan, id="nan-last-block"),
-        pytest.param(244, 250, np.inf, id="inf-last-block"),
-        pytest.param(239, 240, 1e-3, id="asymmetric-across-a-boundary"),
-    ],
-)
-def test_hermiticity_check_reaches_every_row_block(row, column, value):
-    # a 256 x 256 chi is checked in blocks of 16 rows; the first three entries
-    # and their mirror images both lie in the last block, so only it sees them
+def test_chi_matrix_takes_its_coefficients_over_and_forms_no_chi():
     gate = GateSpec.identity(4)
-    assert _kraus_blocks(256, 16)[-2:] == [slice(224, 240), slice(240, 256)]
-    entries = np.zeros((256, 256), dtype=complex)
-    entries[0, 0] = 1.0
-    ChiMatrix(gate, entries)
-    entries[row, column] = value
-    with pytest.raises(ValueError, match="Hermitian"):
-        ChiMatrix(gate, entries)
+    coefficients = kraus_to_chi(random_cptp(4, rank=3, seed=2), gate).coefficients
+    chi, peak = allocation_peak(lambda: ChiMatrix(gate, coefficients))
+    assert chi.coefficients is coefficients
+    # the 12 KiB C is neither copied nor multiplied out into the 1 MiB chi
+    assert peak < coefficients.nbytes
+    assert "entries" not in vars(chi)
+    assert chi.entries is chi.entries and not chi.entries.flags.writeable
 
 
-def test_chi_matrix_check_holds_no_full_size_temporary():
-    gate = GateSpec.identity(4)
-    fresh = np.array(kraus_to_chi(random_cptp(4, rank=3, seed=2), gate).entries)
-    chi, peak = allocation_peak(lambda: ChiMatrix(gate, fresh))
-    assert np.array_equal(chi.entries, fresh)
-    # the defensive copy and one row block's temporaries
-    assert peak <= 1.3 * fresh.nbytes
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_every_chi_matrix_is_hermitian_and_positive_semidefinite(n_qubits):
+    # any C of unit Frobenius norm is a process matrix, so no check can miss
+    # a non-positive chi
+    rng = np.random.default_rng(60 + n_qubits)
+    gate = GateSpec.identity(n_qubits)
+    for rank in (1, 3, 17):
+        coefficients = rng.normal(size=(4**n_qubits, rank)) + 1j * rng.normal(size=(4**n_qubits, rank))
+        entries = ChiMatrix(gate, coefficients / np.linalg.norm(coefficients)).entries
+        assert np.max(np.abs(entries - entries.conj().T)) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(entries)) >= -1e-12
+
+
+def test_process_fidelity_and_error_probabilities_form_no_chi():
+    # n = 4, rank 3: C holds 4**4 x 3 entries, chi 4**4 x 4**4
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(77), 16))
+    channel = random_cptp(4, rank=3, seed=2)
+
+    def decompose():
+        chi = kraus_to_chi(channel, gate)
+        return process_fidelity(chi), error_probabilities(chi)
+
+    (fidelity, probabilities), peak = allocation_peak(decompose)
+    chi_bytes = 16**4 * 16
+    assert peak < 0.25 * chi_bytes, peak / chi_bytes
+    diagonal = dense_chi_diagonal(channel.kraus_ops, gate.u00)
+    assert abs(fidelity - diagonal[0]) < 1e-12
+    assert np.max(np.abs(np.array(list(probabilities.values())) - diagonal)) < 1e-12
 
 
 def _owned_values():
-    """A valid 2-qubit Kraus stack, its chi and a gate, as (build, values) pairs for each value type."""
+    """A valid 2-qubit Kraus stack, its chi coefficients and a gate, as (build, values) pairs for each value type."""
     gate = GateSpec.identity(2)
     channel = random_cptp(2, rank=3, seed=4)
     return [
         (lambda values: Channel(2, values).kraus_ops, channel.kraus_ops),
-        (lambda values: ChiMatrix(gate, values).entries, kraus_to_chi(channel, gate).entries),
+        (lambda values: ChiMatrix(gate, values).coefficients, kraus_to_chi(channel, gate).coefficients),
         (lambda values: GateSpec(2, values).u00, haar_unitary(np.random.default_rng(4), 4)),
     ]
 
@@ -464,17 +473,6 @@ def test_a_read_only_view_of_a_writable_array_is_copied(build, values):
     base *= 2.0
     assert not np.shares_memory(held, base)
     assert np.array_equal(held, values) and not held.flags.writeable
-
-
-def test_process_fidelity_flags_imaginary_leak():
-    # small enough to slip past the matrix-level checks, big enough to trip
-    # the dedicated guard on the returned scalar
-    gate = GateSpec.identity(1)
-    chi = kraus_to_chi(unitary_channel(I2), gate)
-    tampered = np.array(chi.entries)
-    tampered[0, 0] += 4e-10j
-    with pytest.raises(ConsistencyError):
-        process_fidelity(ChiMatrix(gate, tampered))
 
 
 def test_error_probabilities_for_a_phase_error_on_qubit_zero():

@@ -363,6 +363,8 @@ WRONG_CONFIG_FIELDS = [
     ("p-missing", "sample", {"noise": {"kind": "dephasing_per_qubit"}}, "config needs a 'p' field"),
     ("rank-missing", "sample", {"noise": {"kind": "random_cptp", "seed": 7}}, "config needs a 'rank' field"),
     ("seed-missing", "sample", {"noise": {"kind": "random_cptp", "rank": 2}}, "config needs a 'seed' field"),
+    ("p-401-digits", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": 10**400}}, "p is out of range"),
+    ("matrix-401-digit-entry", "certify", _cnot_config(10**400), "matrix entries are out of range"),
 ]
 
 
@@ -552,6 +554,8 @@ def test_writing_a_chi_document_holds_less_than_the_document(tmp_path):
     gate, noise = ghz_chain_gate(4), NoiseSpec("dephasing_per_qubit", 0.1)
     channel = noisy_gate(gate, noise)
     chi = kraus_to_chi(channel, gate)
+    # chi is formed when first read, outside the measured write
+    chi.entries
     doc = report_to_dict(certify(channel, gate), gate, noise)
     out = tmp_path / "report.json"
     _, peak = allocation_peak(lambda: _write_document(doc, str(out), chi))

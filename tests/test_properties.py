@@ -79,8 +79,8 @@ def test_transfer_entries_are_the_phase_column_and_bit_row_of_kraus_to_chi(drawn
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
-    # ChiMatrix runs no eigendecomposition: chi = C^T (C^T)^dag gives
-    # v^dag chi v = ||(C^T)^dag v||^2 >= 0, which this checks numerically
+    # ChiMatrix runs no eigendecomposition: chi = C C^dag gives
+    # v^dag chi v = ||C^dag v||^2 >= 0, which this checks numerically
     rng = np.random.default_rng(40 + n_qubits)
     gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
     channels = [random_cptp(n_qubits, rank, seed=rank) for rank in (1, 3, 8) if rank <= 4**n_qubits]
