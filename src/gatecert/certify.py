@@ -125,19 +125,21 @@ class FidelityReport:
 
 
 def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
-    """Matrix whose column n is input state |psi_n> of the chosen product basis.
+    """Real (float64) matrix whose column n is input state |psi_n> of the chosen product basis.
 
     The computational frame is the identity; the complementary frame is the
     Kronecker power H^(x n) of the normalized Hadamard, whose column n is the
     product of |+> and |-> factors selected by the bits of n.  Its entries are
     products of n entries of H, all of one magnitude, so it is bit for bit the
     Walsh sign table times the left-to-right product of n copies of that magnitude.
+    A product with a complex operand casts the frame to complex128 first, so a
+    complex gate or channel is swept against the frame's exact complex copy.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     if basis == "z":
-        return np.eye(1 << n_qubits, dtype=np.complex128)
-    return (_walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)).astype(np.complex128)
+        return np.eye(1 << n_qubits)
+    return _walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)
 
 
 def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np.ndarray, float]:
@@ -147,7 +149,8 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np
     sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
     image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
     columns of one frame matrix.  The amplitudes <t_n| K_m |psi_n> go into one
-    (m x 2**n) array that is squared and summed once into the read-only vector
+    (m x 2**n) array, real when the gate and the stack are (the frames are
+    real), that is squared and summed once into the read-only vector
     of per-input probabilities, whose mean is the transfer fidelity.  An entry
     beyond TOL.probability_slack of [0, 1], NaN included, raises ConsistencyError.
 
@@ -187,7 +190,7 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np
             w_frame = (targets.conj()[:, np.newaxis, :] * frame).reshape(d * d, d)
             amplitudes = kraus.reshape(m, d * d) @ w_frame
         else:
-            amplitudes = np.empty((m, d), dtype=np.complex128)
+            amplitudes = np.empty((m, d), dtype=np.result_type(targets, kraus))
             for block in _kraus_blocks(m, d):
                 outputs = (kraus[block].reshape(-1, d) @ frame).reshape(-1, d, d)
                 amplitudes[block] = np.vecdot(targets, outputs, axis=-2)
@@ -233,7 +236,7 @@ def fidelity_bounds(fz: float, fx: float) -> tuple[float, float]:
 def _ghz_chain_unitary(n_qubits: int) -> np.ndarray:
     """The raw matrix of ``ghz_chain_gate``, without the GateSpec checks."""
     half = 1 << (n_qubits - 1)
-    u = np.zeros((2 * half, 2 * half), dtype=np.complex128)
+    u = np.zeros((2 * half, 2 * half))
     u[:half, :half] = np.eye(half)
     u[half:, half:] = np.fliplr(np.eye(half))
     return u
@@ -244,7 +247,8 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
 
     The unitary is |0><0| (x) I + |1><1| (x) X...X with qubit 0 as control.
     It maps the product input |0_x, 0_z, ..., 0_z> to the maximally
-    entangled (|0...0> + |1...1>)/sqrt(2) state.
+    entangled (|0...0> + |1...1>)/sqrt(2) state.  The matrix is a real
+    permutation and is held as float64.
     """
     if n_qubits < 2:
         raise ValueError(f"the entangling chain needs at least 2 qubits, got {n_qubits!r}")

@@ -70,17 +70,23 @@ __all__ = [
 
 
 def _completeness_residual(kraus: np.ndarray) -> float:
-    """``core._identity_residual`` of sum_m K_m^dag K_m, for a C-contiguous complex128 stack.
+    """``core._identity_residual`` of sum_m K_m^dag K_m, for a C-contiguous float64 or complex128 stack.
 
     Stacking the operators vertically into one (m 2**n x 2**n) matrix turns
-    the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.  That
+    the sum into a single product: sum_m K_m^dag K_m = flat^dag flat.  For a
+    real stack that is the plain Gram matrix flat^T flat.  A complex stack's
     product is taken as the real Gram matrix g = v^T v of the float64 view v
     of ``flat``, whose columns interleave the real and imaginary parts, so
     no conjugated copy of the stack is made:
     Re = g[re, re] + g[im, im] and Im = g[re, im] - g[im, re].
+    This is the package's only computation that branches on the dtype;
+    everywhere else the dtype of a product follows its operands.
     """
     d = kraus.shape[-1]
-    view = kraus.reshape(-1, d).view(np.float64)
+    flat = kraus.reshape(-1, d)
+    if not np.iscomplexobj(flat):
+        return _identity_residual(flat.T @ flat)
+    view = flat.view(np.float64)
     gram = view.T @ view
     total = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
     return _identity_residual(total)
@@ -88,7 +94,13 @@ def _completeness_residual(kraus: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive trace-preserving map as a Kraus stack, taken over without a copy when frozen."""
+    """Completely positive trace-preserving map as a Kraus stack, taken over without a copy when frozen.
+
+    A real stack (a real gate under the Pauli families) is held as float64
+    and a complex one as complex128, by the rule of ``core._readonly``; every
+    stage that reads it computes in that dtype, or in complex128 when the
+    gate is complex.
+    """
 
     n_qubits: int
     kraus_ops: np.ndarray
@@ -133,8 +145,10 @@ class ChiMatrix:
     Construction checks the shape and the unit trace Tr chi = ||C||_F^2, which
     also bounds every diagonal entry by 1 and rejects a NaN or infinite
     coefficient.  A frozen C is taken over without a copy, by the rule of
-    ``core._readonly``.  ``entries`` forms the dense 4**n x 4**n chi when it
-    is first read and keeps it; in the package only serialization reads it.
+    ``core._readonly``; a real C, the coefficients of a real channel against a
+    real gate, stays real and so does chi.  ``entries`` forms the dense
+    4**n x 4**n chi when it is first read and keeps it; in the package only
+    serialization reads it.
     """
 
     gate: GateSpec
@@ -176,7 +190,8 @@ def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
     The gather lays a block's G out as one 2**n x (2**n b) matrix, row s and
     column (x, m), so the transform is a single product with the real sign
     table, taken over the float64 view (real and imaginary parts side by
-    side), with the 1/2**n normalization folded into the table.
+    side, or the real entries alone), with the 1/2**n normalization folded
+    into the table.  C is real when both the gate and the stack are.
     """
     n = _check_pair(channel, gate)
     d = 1 << n
@@ -185,12 +200,12 @@ def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
     columns = rows ^ rows.T
     u_dag = gate.u00.conj().T
     kraus = channel.kraus_ops
-    coeffs = np.empty((d * d, channel.rank), dtype=np.complex128)
+    coeffs = np.empty((d * d, channel.rank), dtype=np.result_type(gate.u00, kraus))
     for block in _kraus_blocks(channel.rank, d):
         product = u_dag @ kraus[block]
         count = product.shape[0]
         gathered = product.transpose(1, 2, 0)[rows, columns].reshape(d, d * count)
-        coeffs[:, block] = (scaled @ gathered.view(np.float64)).view(np.complex128).reshape(d * d, count)
+        coeffs[:, block] = (scaled @ gathered.view(np.float64)).view(coeffs.dtype).reshape(d * d, count)
     return coeffs
 
 
@@ -240,9 +255,10 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
     u = gate.u00
     kraus = channel.kraus_ops
     m = kraus.shape[0]
+    dtype = np.result_type(u, kraus)
 
     # Row 0 collects sum_m |c|^2 for the phase column, row 1 for the bit row.
-    weights = np.empty((2, d), dtype=np.complex128)
+    weights = np.empty((2, d), dtype=dtype)
     phase_coeffs = np.vecdot(u, kraus, axis=-2) @ _walsh_signs(n).T
     np.vecdot(phase_coeffs, phase_coeffs, axis=0, out=weights[0])
 
@@ -254,7 +270,7 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
         s = np.arange(d)[:, np.newaxis]
         xor_diagonals = (s ^ s.T) * d + s  # row s, column x: flat (s ^ x, s)
         u_dag = u.conj().T
-        bit_coeffs = np.empty((m, d), dtype=np.complex128)
+        bit_coeffs = np.empty((m, d), dtype=dtype)
         for start in range(0, m, rows_per_chunk):
             products = (u_dag @ kraus[start : start + rows_per_chunk]).reshape(-1, d * d)
             gathered = np.take(products, xor_diagonals, axis=1, mode="clip")
@@ -263,8 +279,8 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
         flat = kraus.reshape(m, d * d)
         u_conj = u.conj().reshape(d * d)
         index = _bit_frame_index(d, rows_per_chunk)
-        frame = np.empty(index.shape, dtype=np.complex128)
-        bit_coeffs = np.zeros((m, d), dtype=np.complex128)
+        frame = np.empty(index.shape, dtype=u.dtype)
+        bit_coeffs = np.zeros((m, d), dtype=dtype)
         for rows in chunks:
             lo, hi = rows.start * d, rows.stop * d
             # The index lies in range by construction; "clip" skips the bounds check.

@@ -12,11 +12,12 @@ same setting of ``--config``, whose every field ``_config_value`` reads:
   the gate settings of ``--config``.
 * ``sample``: a sampled certification run; every flag but ``--mode``.
 
-Exit codes: 0 on success, 1 on invalid input (malformed JSON, a config field
-of the wrong type, too large for a float or missing, where null counts as
-missing, a non-unitary gate matrix, a qubit count over capacity, a flag the
-subcommand does not take), 2 when an internal consistency check trips, which
-indicates a bug rather than a bad invocation.
+Exit codes: 0 on success, 1 on invalid input (malformed JSON, a config key
+its section does not take, a config field of the wrong type, too large for a
+float or missing, where null counts as missing, a non-unitary gate matrix, a
+qubit count over capacity, a flag the subcommand does not take), 2 when an
+internal consistency check trips, which indicates a bug rather than a bad
+invocation.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ _BUILTIN_GATES = {"ghz-chain": ghz_chain_gate}
 # takes an integral float such as 3.0, a float field an int, and no field a bool.
 _KIND_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
+
+# The keys each config section takes; any other key is an error.  The noise
+# section's keys depend on its kind: a family takes p, random_cptp rank and seed.
+_CONFIG_KEYS = {
+    "top-level": ("gate", "noise", "mode", "shots", "seed", "output"),
+    "gate": ("builtin", "qubits", "matrix", "name"),
+    "noise": ("kind", "p"),
+    "random_cptp noise": ("kind", "rank", "seed"),
+}
 
 # The FidelityReport fields a document carries, in document order, and whether
 # ``report_from_dict`` requires them.  The last two, the standard errors, are
@@ -186,19 +196,19 @@ def _chi_json(entries: np.ndarray):
     json.dumps uses (signed zeros stay ``-0.0``) and putting them in the place
     of their zero text.  The entries must be finite, as a ChiMatrix's are.  The
     kept entries are found 64 KiB at a time (``_kraus_blocks`` of single entries).
+    A real chi is read as it is, with every imaginary part written as ``0.0``.
     """
-    matrix = np.asarray(entries, dtype=np.complex128)
-    flat = matrix.reshape(-1)
+    flat = entries.reshape(-1)
     width = len(_ZERO_PAIR)
-    zero_row = "[" + ", ".join([_ZERO_PAIR] * matrix.shape[1]) + "]"
+    zero_row = "[" + ", ".join([_ZERO_PAIR] * entries.shape[1]) + "]"
     kept = np.concatenate([
         np.flatnonzero(~(np.abs(flat[block]) < CHI_SERIALIZATION_FLOOR)) + block.start
         for block in _kraus_blocks(flat.size, 1)
     ])
-    kept_rows, kept_columns = np.divmod(kept, matrix.shape[1])
+    kept_rows, kept_columns = np.divmod(kept, entries.shape[1])
     values = flat[kept]
     starts = 1 + kept_columns * (width + 2)
-    bounds = np.searchsorted(kept_rows, np.arange(len(matrix) + 1)).tolist()
+    bounds = np.searchsorted(kept_rows, np.arange(len(entries) + 1)).tolist()
     for r, (low, high) in enumerate(zip(bounds, bounds[1:])):
         yield ", " if r else "["
         if low == high:
@@ -230,7 +240,16 @@ def _config_value(entry: dict, key: str, kind: type, default=_REQUIRED):
         raise ValueError(f"{key} is out of range: {exc}") from None
 
 
+def _check_keys(entry: dict, section: str) -> None:
+    """ValueError naming the first key of ``entry`` that the config ``section`` does not take."""
+    allowed = _CONFIG_KEYS[section]
+    for key in entry:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in the {section} section; it takes {', '.join(allowed)}")
+
+
 def _gate_from_settings(entry: dict, flag_gate: str | None, flag_qubits: int | None) -> GateSpec:
+    _check_keys(entry, "gate")
     name = flag_gate if flag_gate is not None else _config_value(entry, "builtin", str, None)
     if name is None:
         matrix = _config_value(entry, "matrix", list, None)
@@ -262,6 +281,7 @@ def _noise_from_settings(settings: dict) -> NoiseSpec | None:
     kind = _config_value(entry, "kind", str, None)
     if kind is None:
         raise ValueError("config noise entry must be an object with a 'kind' field")
+    _check_keys(entry, "random_cptp noise" if kind == "random_cptp" else "noise")
     if kind == "random_cptp":
         return NoiseSpec(kind=kind, rank=_config_value(entry, "rank", int), seed=_config_value(entry, "seed", int))
     return NoiseSpec(kind=kind, strength=_config_value(entry, "p", float))
@@ -275,6 +295,7 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
             settings = json.load(handle)
         if not isinstance(settings, dict):
             raise ValueError("config file must contain a JSON object")
+        _check_keys(settings, "top-level")
     gate = _gate_from_settings(_config_value(settings, "gate", dict, {}), args.gate, args.qubits)
     if args.command == "basis-check":
         return RunConfig(gate=gate)

@@ -58,12 +58,16 @@ def _frozen(fresh: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def _readonly(values, dtype=np.complex128) -> np.ndarray:
-    """``values`` as a read-only, C-contiguous ``dtype`` array: the ownership rule of every value type.
+def _readonly(values) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous array: the ownership rule of every value type.
 
-    Such an array, read-only down its ``.base`` chain to the owner of the memory,
-    is taken over unchanged, since nothing can write to it; anything else is copied.
+    The dtype follows the data: complex128 for complex input, float64 for
+    anything else, so a real gate or Kraus stack is held and processed in real
+    arithmetic.  Nothing is demoted by looking at values.  An array of that
+    dtype, read-only down its ``.base`` chain to the owner of the memory, is
+    taken over unchanged, since nothing can write to it; anything else is copied.
     """
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
     owner = values
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
@@ -93,7 +97,11 @@ def _identity_residual(gram: np.ndarray) -> float:
 class GateSpec:
     """Target gate: the ideal unitary the noisy implementation is compared against.
 
-    ``u00`` is the read-only 2**n_qubits x 2**n_qubits unitary matrix.
+    ``u00`` is the read-only 2**n_qubits x 2**n_qubits unitary matrix, float64
+    when given as a real array (``identity``, the builtin chain) and complex128 otherwise;
+    ``from_matrix`` always makes it complex128.  The array is frozen, so code
+    that edits a copy in place must cast a real one first,
+    ``gate.u00.astype(complex)``, or a complex entry is dropped.
     """
 
     n_qubits: int
@@ -114,7 +122,7 @@ class GateSpec:
 
     @classmethod
     def from_matrix(cls, matrix, name: str | None = None) -> "GateSpec":
-        """Build a GateSpec from a raw square matrix, inferring the qubit count."""
+        """Build a GateSpec from a raw square matrix, inferring the qubit count; ``u00`` is complex128."""
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {mat.shape}")
@@ -198,7 +206,7 @@ _KRAUS_BLOCK_BYTES = 1 << 16
 
 
 def _kraus_blocks(count: int, dim: int) -> list[slice]:
-    """Consecutive slices covering a stack of ``count`` complex dim x dim operators.
+    """Consecutive slices covering a stack of ``count`` dim x dim operators, sized for complex128 entries.
 
     Each slice spans as many whole operators as fit in _KRAUS_BLOCK_BYTES, and
     at least one; only the last may be shorter.
@@ -213,11 +221,12 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=Non
     Each error product is a signed permutation, (Z**z X**x)[r, r ^ x] = (-1)**popcount(z & r), so the
     stack is one gather of rows of [right; -right]: row r ^ x of the half the sign picks.  ``scale``
     (product k times ``scale[k]``) is one in-place multiply; no second stack-sized array is made.
+    The products are real, so the stack has the dtype of ``right``, float64 for the default identity.
     """
     z = np.asarray(phase_masks, dtype=np.int64)
     x = np.asarray(amp_masks, dtype=np.int64)
     d = 1 << n_qubits
-    right = np.eye(d, dtype=np.complex128) if right is None else right
+    right = np.eye(d) if right is None else right
     signed = np.concatenate([right, -right])
     stack = signed[(np.arange(d) ^ x[:, np.newaxis]) + d * (_walsh_signs(n_qubits)[z] < 0)]
     if scale is not None:

@@ -133,6 +133,10 @@ def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
     validated: when sum N^dag N = I and u00 is unitary (which GateSpec checks),
     sum u00^dag N^dag N u00 = u00^dag I u00 = I, so the completeness check of
     the result covers the noise stack too.
+
+    The Pauli products are real, so a Pauli family keeps u00's dtype: a real
+    gate gives a float64 stack, half the bytes of a complex one.  A random
+    isometry is complex whatever the gate.
     """
     stack = _noise_kraus(spec.kind, gate.n_qubits, spec.strength, spec.rank, spec.seed, gate.u00)
     return Channel(gate.n_qubits, stack)

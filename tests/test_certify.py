@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from functools import reduce
 from types import SimpleNamespace
@@ -69,17 +70,17 @@ def ghz_state(n_qubits):
 def test_input_frames_hold_the_product_kets_bit_for_bit(n_qubits):
     for basis in ("z", "x"):
         frame = _input_frame(n_qubits, basis)
-        assert frame.dtype == np.complex128
+        assert frame.dtype == np.float64
         assert np.array_equal(frame, product_inputs(n_qubits, basis))
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 7))
 def test_complementary_frame_is_the_kron_power_of_the_hadamard_bit_for_bit(n_qubits):
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    reference = reduce(np.kron, [hadamard] * n_qubits).astype(np.complex128)
+    reference = reduce(np.kron, [hadamard] * n_qubits)
     frame = _input_frame(n_qubits, "x")
-    assert frame.dtype == reference.dtype and frame.shape == reference.shape
-    # tobytes compares every bit, the signs of the zero imaginary parts included
+    assert frame.dtype == reference.dtype == np.float64 and frame.shape == reference.shape
+    # tobytes compares every bit, the signs of the entries included
     assert frame.tobytes() == reference.tobytes()
 
 
@@ -696,7 +697,8 @@ def test_violation_verdict_is_strict():
 )
 def test_ghz_chain_match_holds_up_to_gate_match(offset, expected):
     # entry (0, 1) of the chain is zero, so the entry-wise distance is |offset|
-    u = ghz_chain_gate(3).u00.copy()
+    # the chain is real, so cast before adding an imaginary offset
+    u = ghz_chain_gate(3).u00.astype(complex)
     u[0, 1] += offset
     assert _is_ghz_chain_3(GateSpec(3, u)) is expected
 
@@ -705,3 +707,28 @@ def test_ghz_chain_match_rejects_other_gates():
     assert not _is_ghz_chain_3(GateSpec.from_matrix(haar_unitary(np.random.default_rng(33), 8)))
     assert not _is_ghz_chain_3(GateSpec.identity(3))
     assert not _is_ghz_chain_3(ghz_chain_gate(4))
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit"])
+def test_a_real_channel_certifies_as_its_complex_copy(kind, n_qubits):
+    # the float64 pipeline and the complex128 one on the same operators give
+    # the same report up to rounding, the same verdicts, and the same C
+    gate = ghz_chain_gate(n_qubits)
+    complex_gate = GateSpec(n_qubits, gate.u00.astype(complex))
+    for p in (0.0, 0.05, 0.13, 0.37, 0.5, 1.0):
+        channel = noisy_gate(gate, NoiseSpec(kind, p))
+        complex_channel = Channel(n_qubits, channel.kraus_ops.astype(complex))
+        assert channel.kraus_ops.dtype == np.float64
+        real, complex_ = certify(channel, gate), certify(complex_channel, complex_gate)
+        for field in dataclasses.fields(FidelityReport):
+            a, b = getattr(real, field.name), getattr(complex_, field.name)
+            if isinstance(a, float):
+                assert abs(a - b) <= 1e-14, (field.name, p, a - b)
+            else:
+                assert a == b, (field.name, p)
+        real_chi = kraus_to_chi(channel, gate).coefficients
+        assert real_chi.dtype == np.float64
+        complex_chi = kraus_to_chi(complex_channel, complex_gate).coefficients
+        assert complex_chi.dtype == np.complex128
+        assert np.max(np.abs(real_chi - complex_chi)) <= 1e-15, p

@@ -17,7 +17,9 @@ from gatecert.core import (
     GateSpec,
     build_error_basis,
 )
+from gatecert.certify import ghz_chain_gate
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
+from gatecert.tolerances import TOL
 from _oracles import (
     allocation_peak,
     apply_channel,
@@ -102,6 +104,24 @@ def test_completeness_residual_matches_the_row_by_row_sum(n_qubits):
         assert _completeness_residual(kraus) == pytest.approx(expected, rel=1e-12)
         isometry = random_cptp(n_qubits, rank, seed=rank).kraus_ops
         assert _completeness_residual(isometry) == pytest.approx(completeness_residual(isometry), abs=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_completeness_residual_of_a_real_stack_is_its_plain_gram(n_qubits):
+    # a real stack takes the plain Gram flat^T flat; it must agree with the
+    # complex route on the same operators and with the row-by-row sum
+    rng = np.random.default_rng(80 + n_qubits)
+    d = 2**n_qubits
+    for rank in sorted({1, 2, d, d * d}):
+        kraus = rng.standard_normal((rank, d, d)) / d
+        expected = completeness_residual(kraus)
+        assert _completeness_residual(kraus) == pytest.approx(expected, rel=1e-12)
+        assert _completeness_residual(kraus) == pytest.approx(_completeness_residual(kraus.astype(complex)), rel=1e-12)
+    real = noisy_gate(ghz_chain_gate(n_qubits + 1), NoiseSpec("depolarizing_global", 0.3)).kraus_ops
+    assert real.dtype == np.float64
+    assert _completeness_residual(real) <= TOL.kraus_trace_preserving
+    with pytest.raises(ValueError, match="not trace preserving"):
+        Channel(n_qubits + 1, 1.001 * real)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -494,8 +514,13 @@ def test_error_probabilities_keys_cover_all_masks():
     assert len(probs) == 16
     # key (z, x) holds diagonal entry (z << n) + x, and sorted keys run in that order
     assert sorted(probs) == [(z, x) for z in range(4) for x in range(4)]
-    for (z, x), p in probs.items():
-        assert p == float(chi.entries[(z << 2) + x, (z << 2) + x].real)
+    # bit for bit what the code computes: the squared row norms of C
+    coeffs = chi.coefficients
+    assert list(probs.values()) == np.vecdot(coeffs, coeffs).real.tolist()
+    # the diagonal of chi comes from another product (BLAS C C^dag), which
+    # may sum in another order, so it agrees up to a few ulps
+    diagonal = [chi.entries[(z << 2) + x, (z << 2) + x].real for z, x in probs]
+    np.testing.assert_array_max_ulp(np.array(list(probs.values())), np.array(diagonal), maxulp=4)
 
 
 def test_kraus_to_chi_rejects_mismatched_basis():

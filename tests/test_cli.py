@@ -389,6 +389,47 @@ def test_fractional_or_non_numeric_config_integers_are_rejected_by_name(
     assert list(tmp_path.iterdir()) == [path]
 
 
+# (section, subcommand, the settings replacing those of _sample_config, the unknown key)
+UNKNOWN_CONFIG_KEYS = [
+    ("top-level", "sample", {"seeed": 7}, "seeed"),
+    ("gate", "sample", {"gate": {"builtin": "ghz-chain", "qubits": 2, "qubit": 3}}, "qubit"),
+    ("noise", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": 0.1, "rank": 3}}, "rank"),
+    ("random_cptp noise", "sample", {"noise": {"kind": "random_cptp", "rank": 2, "seed": 7, "p": 0.1}}, "p"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,command,settings,key", UNKNOWN_CONFIG_KEYS, ids=[case[0] for case in UNKNOWN_CONFIG_KEYS]
+)
+def test_an_unknown_config_key_is_rejected_by_name(tmp_path, monkeypatch, capsys, section, command, settings, key):
+    # a misspelled key must not run silently with the default of the field it meant
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_sample_config(), **settings}))
+    assert main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: unknown key {key!r} in the {section} section")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_basis_check_rejects_an_unknown_top_level_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 2}, "include_chi": True}))
+    assert main(["basis-check", "--config", str(path)]) == 1
+    assert "unknown key 'include_chi'" in capsys.readouterr().err
+
+
+def test_a_config_matrix_gate_stays_complex(tmp_path):
+    # pairs_to_matrix and from_matrix never demote, so a matrix config, even of
+    # a real gate, runs in complex arithmetic
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": {"matrix": matrix_to_pairs(ghz_chain_gate(2).u00)}}))
+    config = cli.run_config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
+    assert config.gate.u00.dtype == np.complex128
+    assert cli._channel_for(config).kraus_ops.dtype == np.complex128
+
+
 def test_a_null_config_field_counts_as_absent(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     plain, nulls = tmp_path / "plain.json", tmp_path / "nulls.json"
@@ -524,6 +565,13 @@ def _pauli_chi(n_qubits):
     return kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).entries
 
 
+def _real_chi(n_qubits):
+    gate = ghz_chain_gate(n_qubits)
+    entries = kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).entries
+    assert entries.dtype == np.float64
+    return entries
+
+
 def _dense_chi():
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(3), 8))
     return kraus_to_chi(random_cptp(3, rank=5, seed=11), gate).entries
@@ -535,6 +583,7 @@ def _dense_chi():
         pytest.param(lambda: DUSTY, id="dusty"),
         *(pytest.param(lambda n=n: _pauli_chi(n), id=f"pauli-{n}") for n in range(1, 5)),
         pytest.param(_dense_chi, id="dense-3"),
+        pytest.param(lambda: _real_chi(3), id="real-3"),
         pytest.param(lambda: EDGES, id="edges"),
     ],
 )

@@ -7,6 +7,7 @@ from gatecert.core import (
     _kraus_blocks,
     _orthogonality_bound,
     _pauli_products,
+    _readonly,
     _walsh_signs,
     CapacityError,
     ErrorBasis,
@@ -348,3 +349,37 @@ def test_value_arrays_are_read_only():
         basis.operators[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         basis.gate.u00[0, 0] = 5.0
+
+
+def test_the_held_dtype_follows_the_data():
+    # complex input stays complex128, even with every imaginary part zero;
+    # anything else is held as float64
+    assert _readonly(np.eye(2, dtype=complex)).dtype == np.complex128
+    assert _readonly([[1.0, 0.5j]]).dtype == np.complex128
+    for values in (np.eye(2), np.eye(2, dtype=int), [[1, 0], [0, 1]], np.eye(2, dtype=np.float32)):
+        assert _readonly(values).dtype == np.float64
+    # a frozen owner of the inferred dtype is taken over, a real one included
+    frozen = np.eye(4)
+    frozen.setflags(write=False)
+    assert _readonly(frozen) is frozen
+
+
+def test_builtin_gates_are_real_and_matrix_gates_complex():
+    for n_qubits in range(1, MAX_QUBITS + 1):
+        assert GateSpec.identity(n_qubits).u00.dtype == np.float64
+    for n_qubits in range(2, MAX_QUBITS + 1):
+        assert ghz_chain_gate(n_qubits).u00.dtype == np.float64
+    # from_matrix never demotes by looking at the values
+    assert GateSpec.from_matrix(np.eye(4)).u00.dtype == np.complex128
+    assert GateSpec.from_matrix(ghz_chain_gate(3).u00).u00.dtype == np.complex128
+
+
+def test_pauli_products_take_the_dtype_of_the_right_operand():
+    masks = [0, 1, 2, 3]
+    assert _pauli_products(masks, masks, 2).dtype == np.float64
+    assert _pauli_products(masks, masks, 2, [1.0, 0.5, 0.5, 0.5]).dtype == np.float64
+    u = haar_unitary(np.random.default_rng(8), 4)
+    assert _pauli_products(masks, masks, 2, right=u).dtype == np.complex128
+    real = _pauli_products(masks, masks, 2, [1.0, 0.5, 0.25, 0.125], right=CNOT)
+    complex_ = _pauli_products(masks, masks, 2, [1.0, 0.5, 0.25, 0.125], right=CNOT.astype(complex))
+    assert np.array_equal(real, complex_.real) and not np.any(complex_.imag)

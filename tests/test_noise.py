@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatecert import cli
+from gatecert.certify import ghz_chain_gate
 from gatecert.channel import Channel, _completeness_residual, kraus_to_chi
 from gatecert.core import CapacityError, GateSpec
 from gatecert.noise import NOISE_KINDS, NoiseSpec, _noise_kraus, noisy_gate, random_cptp
@@ -267,3 +268,26 @@ def test_random_cptp_is_the_qr_of_its_seeded_ginibre_draw_bit_for_bit():
         ginibre = rng.standard_normal((7 * 32, 32)) + 1j * rng.standard_normal((7 * 32, 32))
         expected = np.linalg.qr(ginibre)[0].reshape(7, 32, 32)
         assert random_cptp(5, rank=7, seed=seed).kraus_ops.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit"])
+def test_a_pauli_family_on_a_real_gate_is_a_float64_stack_of_half_the_bytes(kind):
+    gate = ghz_chain_gate(3)
+    complex_gate = GateSpec(3, gate.u00.astype(complex))
+    spec = NoiseSpec(kind, 0.13)
+    real, complex_ = noisy_gate(gate, spec).kraus_ops, noisy_gate(complex_gate, spec).kraus_ops
+    assert real.dtype == np.float64 and complex_.dtype == np.complex128
+    assert 2 * real.nbytes == complex_.nbytes
+    assert np.array_equal(real, complex_.real) and not np.any(complex_.imag)
+    # the bare noise stack is real too
+    assert _noise_kraus(kind, 3, 0.13).dtype == np.float64
+
+
+def test_random_cptp_stays_complex_and_bit_identical_on_a_real_gate():
+    assert random_cptp(3, 5, seed=2).kraus_ops.dtype == np.complex128
+    gate = ghz_chain_gate(3)
+    spec = NoiseSpec("random_cptp", rank=5, seed=2)
+    real_right = noisy_gate(gate, spec).kraus_ops
+    complex_right = noisy_gate(GateSpec(3, gate.u00.astype(complex)), spec).kraus_ops
+    assert real_right.dtype == np.complex128
+    assert real_right.tobytes() == complex_right.tobytes()
