@@ -43,7 +43,6 @@ most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -138,17 +137,14 @@ class ChiMatrix:
     operator.  For every vector v, v^dag chi v = ||C^dag v||^2 >= 0, so chi
     is Hermitian and positive semidefinite by representation, and its
     diagonal chi_{a,a} = ||C[a]||^2, the error probability distribution, is
-    real and non-negative.  A dense chi is wrapped by factoring it first:
-    eigh gives C = V sqrt(Lambda), with rounding-level negative eigenvalues
-    clipped to zero.
+    real and non-negative.
 
     Construction checks the shape and the unit trace Tr chi = ||C||_F^2, which
     also bounds every diagonal entry by 1 and rejects a NaN or infinite
     coefficient.  A frozen C is taken over without a copy, by the rule of
     ``core._readonly``; a real C, the coefficients of a real channel against a
-    real gate, stays real and so does chi.  ``entries`` forms the dense
-    4**n x 4**n chi when it is first read and keeps it; in the package only
-    serialization reads it.
+    real gate, stays real and so does chi.  The dense 4**n x 4**n chi is
+    never held; the ``--include-chi`` writer forms it a row block at a time.
     """
 
     gate: GateSpec
@@ -163,11 +159,6 @@ class ChiMatrix:
         if not abs(trace - 1.0) <= TOL.chi_trace:
             raise ValueError(f"process matrix must have unit trace, got {trace!r}")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The read-only 4**n x 4**n chi = C C^dag."""
-        return _frozen(self.coefficients @ self.coefficients.conj().T)
 
 
 def _check_pair(channel: Channel, gate: GateSpec) -> int:
@@ -335,11 +326,10 @@ def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = No
     the Walsh-Hadamard transform
     c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) (u00^dag K_m)[s, s ^ x] for
     a = (z << n) + x, into one 4**n x m matrix C, the size of the Kraus stack,
-    which the returned ``ChiMatrix`` takes over; chi = C C^dag itself is formed
-    only if its ``entries`` are read.  The dense basis is never built; a
-    supplied ``basis`` is only checked to belong to ``gate``.  A C built this
-    way from a validated channel fails the unit-trace check only through a
-    bug, so such a failure raises ConsistencyError.
+    which the returned ``ChiMatrix`` takes over.  The dense basis is never
+    built; a supplied ``basis`` is only checked to belong to ``gate``.  A C
+    built this way from a validated channel fails the unit-trace check only
+    through a bug, so such a failure raises ConsistencyError.
     """
     if basis is not None and basis.gate is not gate and not np.array_equal(
         basis.gate.u00, gate.u00

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import Channel, ChiMatrix, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
-from .core import ConsistencyError, GateSpec, _kraus_blocks, _orthogonality_bound, orthogonality_residual
+from .core import ConsistencyError, GateSpec, _orthogonality_bound, orthogonality_residual
 from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
 
@@ -61,6 +61,9 @@ EXIT_INCONSISTENT = 2
 CHI_SERIALIZATION_FLOOR = 1e-14
 # The JSON text of one entry written as zero.
 _ZERO_PAIR = "[0.0, 0.0]"
+# Rows of chi that the writer forms at a time: a power of two of at least 16,
+# since a single row takes the matrix-vector product and can change a digit.
+_CHI_BLOCK_ROWS = 32
 
 _BUILTIN_GATES = {"ghz-chain": ghz_chain_gate}
 
@@ -181,46 +184,50 @@ def chi_to_pairs(chi: ChiMatrix) -> list:
     """Process matrix as nested [re, im] pairs, phase-mask-major row order.
 
     Entries below the serialization floor in magnitude are written as zero.
+    This is the reference that ``_chi_json`` must match: it forms the whole
+    4**n x 4**n chi = C C^dag at once.
     """
-    return matrix_to_pairs(chi.entries, zero_floor=CHI_SERIALIZATION_FLOOR)
+    coeffs = chi.coefficients
+    return matrix_to_pairs(coeffs @ coeffs.conj().T, zero_floor=CHI_SERIALIZATION_FLOOR)
 
 
-def _chi_json(entries: np.ndarray):
-    """The text of ``json.dumps(matrix_to_pairs(entries, zero_floor=CHI_SERIALIZATION_FLOOR))``, in pieces.
+def _chi_json(coefficients: np.ndarray):
+    """The text of ``json.dumps(matrix_to_pairs(C @ C.conj().T, zero_floor=CHI_SERIALIZATION_FLOOR))``, in pieces.
 
-    No nested lists are built, and the pieces are yielded row by row.  A row
+    chi is formed ``_CHI_BLOCK_ROWS`` rows at a time, as C[rows] @ C^dag; the
+    tests hold its text to that of the full product (``chi_to_pairs``).  A row
     whose entries all lie below the floor is one shared string: its entries
     are the 10-character ``[0.0, 0.0]`` separated by ", ", so entry c of a
-    q-column row starts at offset 1 + 12 c.  Only the rows that keep an entry
-    are built, by formatting their kept entries with the float repr that
-    json.dumps uses (signed zeros stay ``-0.0``) and putting them in the place
-    of their zero text.  The entries must be finite, as a ChiMatrix's are.  The
-    kept entries are found 64 KiB at a time (``_kraus_blocks`` of single entries).
-    A real chi is read as it is, with every imaginary part written as ``0.0``.
+    q-column row starts at offset 1 + 12 c.  A row that keeps an entry is that
+    string with the kept entries, formatted with the float repr json.dumps
+    uses (signed zeros stay ``-0.0``), in the place of their zero text.  The
+    entries must be finite, as a ChiMatrix's are.  A real C gives a real chi,
+    whose imaginary parts are written as ``0.0``.
     """
-    flat = entries.reshape(-1)
+    q = len(coefficients)
+    coeffs_dag = coefficients.conj().T
     width = len(_ZERO_PAIR)
-    zero_row = "[" + ", ".join([_ZERO_PAIR] * entries.shape[1]) + "]"
-    kept = np.concatenate([
-        np.flatnonzero(~(np.abs(flat[block]) < CHI_SERIALIZATION_FLOOR)) + block.start
-        for block in _kraus_blocks(flat.size, 1)
-    ])
-    kept_rows, kept_columns = np.divmod(kept, entries.shape[1])
-    values = flat[kept]
-    starts = 1 + kept_columns * (width + 2)
-    bounds = np.searchsorted(kept_rows, np.arange(len(entries) + 1)).tolist()
-    for r, (low, high) in enumerate(zip(bounds, bounds[1:])):
-        yield ", " if r else "["
-        if low == high:
-            yield zero_row
-            continue
-        row_starts = starts[low:high].tolist()
-        row_values = values[low:high]
-        gaps = map(slice, [0, *(start + width for start in row_starts)], [*row_starts, len(zero_row)])
-        pieces = [""] * (2 * len(row_starts) + 1)
-        pieces[0::2] = map(zero_row.__getitem__, gaps)
-        pieces[1::2] = map("[{!r}, {!r}]".format, row_values.real.tolist(), row_values.imag.tolist())
-        yield "".join(pieces)
+    zero_row = "[" + ", ".join([_ZERO_PAIR] * q) + "]"
+    for first in range(0, q, _CHI_BLOCK_ROWS):
+        block = coefficients[first : first + _CHI_BLOCK_ROWS] @ coeffs_dag
+        flat = block.reshape(-1)
+        kept = np.flatnonzero(~(np.abs(flat) < CHI_SERIALIZATION_FLOOR))
+        kept_rows, kept_columns = np.divmod(kept, q)
+        values = flat[kept]
+        starts = 1 + kept_columns * (width + 2)
+        bounds = np.searchsorted(kept_rows, np.arange(len(block) + 1)).tolist()
+        for r, (low, high) in enumerate(zip(bounds, bounds[1:]), start=first):
+            yield ", " if r else "["
+            if low == high:
+                yield zero_row
+                continue
+            row_starts = starts[low:high].tolist()
+            row_values = values[low:high]
+            gaps = map(slice, [0, *(start + width for start in row_starts)], [*row_starts, len(zero_row)])
+            pieces = [""] * (2 * len(row_starts) + 1)
+            pieces[0::2] = map(zero_row.__getitem__, gaps)
+            pieces[1::2] = map("[{!r}, {!r}]".format, row_values.real.tolist(), row_values.imag.tolist())
+            yield "".join(pieces)
     yield "]"
 
 
@@ -373,7 +380,7 @@ def _write_document(doc: dict, destination: str, chi: ChiMatrix | None = None) -
     if chi is None:
         pieces = [text, "\n"]
     else:
-        pieces = [text[:-1], ', "chi": ', *_chi_json(chi.entries), "}\n"]
+        pieces = [text[:-1], ', "chi": ', *_chi_json(chi.coefficients), "}\n"]
     if destination == "-":
         sys.stdout.writelines(pieces)
     else:

@@ -58,27 +58,10 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
-def _depolarizing_global(p: float, n_qubits: int, right) -> np.ndarray:
-    count = 1 << (2 * n_qubits)
-    weights = np.full(count, p / count)
-    weights[0] += 1.0 - p
+def _pauli_mixture(weights: np.ndarray, n_qubits: int, right) -> np.ndarray:
+    """sqrt(w_a) Z**z X**x @ right for each flat mask a = (z << n) + x whose weight w_a is not zero."""
     flat = np.flatnonzero(weights)
-    return _pauli_products(
-        flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right
-    )
-
-
-def _independent_flip(p: float, n_qubits: int, phase: bool, right) -> np.ndarray:
-    masks, weights = [], []
-    for mask in range(1 << n_qubits):
-        flipped = mask.bit_count()
-        weight = (1.0 - p) ** (n_qubits - flipped) * p**flipped
-        if weight != 0.0:
-            masks.append(mask)
-            weights.append(weight)
-    zeros = [0] * len(masks)
-    phase_masks, amp_masks = (masks, zeros) if phase else (zeros, masks)
-    return _pauli_products(phase_masks, amp_masks, n_qubits, np.sqrt(weights), right)
+    return _pauli_products(flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right)
 
 
 def _random_isometry(n_qubits: int, rank: int, seed: int, right) -> np.ndarray:
@@ -102,15 +85,22 @@ def _noise_kraus(
 ) -> np.ndarray:
     """A fresh, frozen Kraus stack of one noise family (each N_k @ ``right`` if given), not yet validated."""
     _check_qubit_count(n_qubits)
-    if kind == "depolarizing_global":
-        return _frozen(_depolarizing_global(strength, n_qubits, right))
-    if kind == "dephasing_per_qubit":
-        return _frozen(_independent_flip(strength, n_qubits, True, right))
-    if kind == "bitflip_per_qubit":
-        return _frozen(_independent_flip(strength, n_qubits, False, right))
     if kind == "random_cptp":
         return _frozen(_random_isometry(n_qubits, rank, seed, right))
-    raise ValueError(f"unknown noise kind {kind!r}")  # unreachable after NoiseSpec validation
+    count = 1 << (2 * n_qubits)
+    if kind == "depolarizing_global":
+        weights = np.full(count, strength / count)
+        weights[0] += 1.0 - strength
+    elif kind in ("dephasing_per_qubit", "bitflip_per_qubit"):
+        # k flipped qubits weigh (1-p)**(n-k) p**k; phase flips sit at z = mask, bit flips at x = mask.
+        masks = np.arange(1 << n_qubits)
+        weights = np.zeros(count)
+        weights[masks << n_qubits if kind == "dephasing_per_qubit" else masks] = [
+            (1.0 - strength) ** (n_qubits - k) * strength**k for k in map(int.bit_count, range(1 << n_qubits))
+        ]
+    else:
+        raise ValueError(f"unknown noise kind {kind!r}")  # unreachable after NoiseSpec validation
+    return _frozen(_pauli_mixture(weights, n_qubits, right))
 
 
 def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:

@@ -43,7 +43,8 @@ TOL = Tolerances()
 
 # Certification reads only 2**(N+1) - 1 diagonal entries of the process
 # matrix (its phase-only column and bit-only row), sampling only its entry
-# chi_00, and basis-check works on the 2**N x 2**N u^dag u, but the full
-# process matrix written by --include-chi holds 16**N complex entries.  Six qubits (16.8 million entries, 268 MB) is the largest
+# chi_00, and basis-check works on the 2**N x 2**N u^dag u, but the text of
+# the process matrix that --include-chi writes still holds 16**N entries.
+# Six qubits (16.8 million entries, about 201 MB of JSON) is the largest
 # configuration that stays desk-friendly.
 MAX_QUBITS = 6

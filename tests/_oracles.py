@@ -201,6 +201,11 @@ def dense_chi_diagonal(kraus, unitary):
     return diag
 
 
+def chi_entries(chi):
+    """The dense 4**n x 4**n process matrix C C^dag of a ``ChiMatrix``, which the package never holds."""
+    return chi.coefficients @ chi.coefficients.conj().T
+
+
 def ghz_family_overlap(amplitudes):
     """Largest squared overlap with any phase-adjusted |m> + |complement(m)> pair."""
     amp = np.asarray(amplitudes)

@@ -15,7 +15,7 @@ from gatecert.cli import main, matrix_to_pairs, report_from_dict
 from gatecert.core import GateSpec, build_error_basis
 from gatecert.noise import NOISE_KINDS, NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import ShotPlan, sample_transfer, sampled_report
-from _oracles import ghz_correlation, ghz_family_overlap, ghz_output
+from _oracles import chi_entries, ghz_correlation, ghz_family_overlap, ghz_output
 
 P_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 FAMILY_KINDS = [k for k in NOISE_KINDS if k != "random_cptp"]
@@ -48,7 +48,7 @@ def fidelities_both_ways(channel, gate, basis):
     _, fx = classical_fidelity(channel, gate, "x")
     chi = kraus_to_chi(channel, gate, basis)
     d = 1 << gate.n_qubits
-    diag = np.diagonal(chi.entries).real
+    diag = np.diagonal(chi_entries(chi)).real
     return (fz, fx), (float(np.sum(diag[::d])), float(np.sum(diag[:d]))), chi
 
 

@@ -34,6 +34,7 @@ from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.tolerances import TOL
 from _oracles import (
     allocation_peak,
+    chi_entries,
     dense_chi,
     entangling_input,
     ghz_correlation,
@@ -419,7 +420,7 @@ def test_streamed_stages_match_the_oracles_across_block_boundaries(n_qubits, ran
     channel = random_cptp(n_qubits, rank, seed=n_qubits * 1000 + rank)
     kraus, u = channel.kraus_ops, gate.u00
     chi = dense_chi(kraus, u)
-    assert np.max(np.abs(kraus_to_chi(channel, gate).entries - chi)) < 1e-12
+    assert np.max(np.abs(chi_entries(kraus_to_chi(channel, gate)) - chi)) < 1e-12
     phase, bit = _transfer_entries(channel, gate)
     d = 2**n_qubits
     assert np.max(np.abs(phase - np.diagonal(chi).real[::d])) < 1e-12
@@ -561,7 +562,7 @@ def test_bound_sandwich_on_random_channels():
             _, fx = classical_fidelity(ch, gate, "x")
             chi = kraus_to_chi(ch, gate, basis)
             fp = process_fidelity(chi)
-            diag = np.diagonal(chi.entries).real
+            diag = np.diagonal(chi_entries(chi)).real
             d = 1 << n_qubits
             assert abs(fz - diag[::d].sum()) < 1e-8
             assert abs(fx - diag[:d].sum()) < 1e-8

@@ -31,12 +31,10 @@ from _oracles import allocation_peak, haar_unitary, skew_the_complementary_frame
 
 # below the floor, at the floor, and signed zeros in both parts
 DUSTY = np.array([[complex(3e-15, -2e-15), complex(-0.0, 0.5)], [complex(1e-14, 0.0), complex(-0.25, -0.0)]])
-# kept entries in the first and last columns, a row kept throughout, and zero rows
-EDGES = np.zeros((5, 5), dtype=complex)
-EDGES[0, 0] = 0.5
-EDGES[0, 4] = complex(1e-3, -2e-3)
-EDGES[2, 4] = -0.125j
-EDGES[3] = [0.1, -0.2j, complex(3e-14, 4.5), complex(-0.0, 1e-14), 7.0]
+# coefficients whose chi = C C^dag keeps an entry at the floor, 1e-14 * 1.0, and has dust below it
+DUSTY_COEFFICIENTS = np.array([[1.0, 0.0], [1e-14, 0.0], [3e-15j, 0.0], [-0.5, 0.0], [complex(-0.0, 0.25), 0.0]])
+# zero rows 1 and 2 give zero chi rows; rows 3 and 4 keep entries in the first and last columns
+EDGES_COEFFICIENTS = np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.1, 0.2j], [0.0, complex(0.3, -0.1)]])
 
 
 def run(tmp_path, *argv):
@@ -560,65 +558,71 @@ def test_chi_serialization_truncates_dust(tmp_path):
     assert sum(entry != [0.0, 0.0] for entry in flat) == 1
 
 
+def _dusty_chi():
+    chi = DUSTY_COEFFICIENTS @ DUSTY_COEFFICIENTS.conj().T
+    assert abs(chi[1, 0]) == CHI_SERIALIZATION_FLOOR and 0 < abs(chi[2, 0]) < CHI_SERIALIZATION_FLOOR
+    return DUSTY_COEFFICIENTS
+
+
 def _pauli_chi(n_qubits):
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(n_qubits), 2**n_qubits))
-    return kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).entries
+    return kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).coefficients
 
 
-def _real_chi(n_qubits):
+def _real_chi(n_qubits, kind, p):
     gate = ghz_chain_gate(n_qubits)
-    entries = kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3)), gate).entries
-    assert entries.dtype == np.float64
-    return entries
+    coefficients = kraus_to_chi(noisy_gate(gate, NoiseSpec(kind, p)), gate).coefficients
+    assert coefficients.dtype == np.float64
+    return coefficients
 
 
-def _dense_chi():
-    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(3), 8))
-    return kraus_to_chi(random_cptp(3, rank=5, seed=11), gate).entries
+def _dense_chi(n_qubits):
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(3), 2**n_qubits))
+    return kraus_to_chi(random_cptp(n_qubits, rank=5, seed=11), gate).coefficients
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "coefficients",
     [
-        pytest.param(lambda: DUSTY, id="dusty"),
+        pytest.param(_dusty_chi, id="dusty"),
         *(pytest.param(lambda n=n: _pauli_chi(n), id=f"pauli-{n}") for n in range(1, 5)),
-        pytest.param(_dense_chi, id="dense-3"),
-        pytest.param(lambda: _real_chi(3), id="real-3"),
-        pytest.param(lambda: EDGES, id="edges"),
+        # dense-4 and real-sparse-5 span several blocks of rows
+        *(pytest.param(lambda n=n: _dense_chi(n), id=f"dense-{n}") for n in (3, 4)),
+        pytest.param(lambda: _real_chi(3, "depolarizing_global", 0.3), id="real-3"),
+        pytest.param(lambda: _real_chi(5, "dephasing_per_qubit", 0.1), id="real-sparse-5"),
+        pytest.param(lambda: EDGES_COEFFICIENTS, id="edges"),
     ],
 )
-def test_chi_json_is_the_text_of_the_reference_pairs(entries):
-    matrix = entries()
-    text = "".join(_chi_json(matrix))
-    assert text == json.dumps(matrix_to_pairs(matrix, zero_floor=CHI_SERIALIZATION_FLOOR))
+def test_chi_json_is_the_text_of_the_reference_pairs(coefficients):
+    coeffs = coefficients()
+    text = "".join(_chi_json(coeffs))
+    assert text == json.dumps(matrix_to_pairs(coeffs @ coeffs.conj().T, zero_floor=CHI_SERIALIZATION_FLOOR))
 
 
 def test_chi_json_shares_the_text_of_zero_rows():
-    rows = [piece for piece in _chi_json(EDGES) if piece.startswith("[[")]
+    rows = [piece for piece in _chi_json(EDGES_COEFFICIENTS) if piece.startswith("[[")]
     assert len(rows) == 5
-    assert rows[1] is rows[4]
+    assert rows[1] is rows[2]
 
 
 def test_writing_a_chi_document_holds_less_than_the_document(tmp_path):
     gate, noise = ghz_chain_gate(4), NoiseSpec("dephasing_per_qubit", 0.1)
     channel = noisy_gate(gate, noise)
     chi = kraus_to_chi(channel, gate)
-    # chi is formed when first read, outside the measured write
-    chi.entries
     doc = report_to_dict(certify(channel, gate), gate, noise)
     out = tmp_path / "report.json"
     _, peak = allocation_peak(lambda: _write_document(doc, str(out), chi))
     written = out.read_bytes()
     doc["chi"] = chi_to_pairs(chi)
     assert written == (json.dumps(doc) + "\n").encode()
-    # the kept entries are found in 64 KiB blocks, so no chi-sized mask is made
+    # chi is formed a block of rows at a time inside the measured write, so no chi-sized array is made
     assert peak < 0.3 * len(written)
 
 
 def test_a_failing_chi_writer_creates_no_file(tmp_path, capsys, monkeypatch):
     cli_module = importlib.import_module("gatecert.cli")
 
-    def broken(entries):
+    def broken(coefficients):
         yield "["
         raise ValueError("chi text failed")
 

@@ -7,7 +7,7 @@ from gatecert.channel import Channel, _completeness_residual, kraus_to_chi
 from gatecert.core import CapacityError, GateSpec
 from gatecert.noise import NOISE_KINDS, NoiseSpec, _noise_kraus, noisy_gate, random_cptp
 from gatecert.tolerances import TOL
-from _oracles import allocation_peak, apply_channel, haar_unitary, product_inputs, random_density, superoperator
+from _oracles import allocation_peak, apply_channel, chi_entries, haar_unitary, product_inputs, random_density, superoperator
 
 CNOT = np.array(
     [
@@ -193,7 +193,7 @@ def test_noisy_gate_process_fidelity_closed_form():
     gate = GateSpec.from_matrix(CNOT, name="cnot")
     for p in (0.0, 0.1, 0.2, 0.5, 1.0):
         chi = kraus_to_chi(noisy_gate(gate, NoiseSpec("depolarizing_global", p)), gate)
-        assert chi.entries[0, 0].real == pytest.approx(1 - 15 * p / 16, abs=1e-12)
+        assert chi_entries(chi)[0, 0].real == pytest.approx(1 - 15 * p / 16, abs=1e-12)
 
 
 def test_depolarizing_commutes_with_the_gate():

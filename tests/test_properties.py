@@ -15,6 +15,7 @@ from gatecert.channel import _completeness_residual, _transfer_entries, kraus_to
 from gatecert.core import GateSpec
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from _oracles import (
+    chi_entries,
     completeness_residual,
     dense_chi,
     haar_unitary,
@@ -71,7 +72,7 @@ def test_transfer_entries_are_the_phase_column_and_bit_row_of_kraus_to_chi(drawn
     # diagonal of the full coefficient transform
     gate, channel = drawn
     d = 2**gate.n_qubits
-    diag = np.diagonal(kraus_to_chi(channel, gate).entries).real
+    diag = np.diagonal(chi_entries(kraus_to_chi(channel, gate))).real
     phase, bit = _transfer_entries(channel, gate)
     assert np.max(np.abs(phase - diag[::d])) <= 1e-14
     assert np.max(np.abs(bit - diag[:d])) <= 1e-14
@@ -89,7 +90,7 @@ def test_kraus_to_chi_is_positive_semidefinite(n_qubits):
         for kind in ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit")
     ]
     for channel in channels:
-        entries = kraus_to_chi(channel, gate).entries
+        entries = chi_entries(kraus_to_chi(channel, gate))
         assert np.min(np.linalg.eigvalsh(entries)) >= -1e-12
 
 
