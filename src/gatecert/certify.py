@@ -6,7 +6,10 @@ unitary u00, stated over the gate-relative process matrix chi:
 * The computational-basis transfer fidelity equals the chi-diagonal sum over
   phase-only errors, and the complementary-basis transfer fidelity equals
   the sum over bit-only errors.  Each is measurable with product inputs and
-  local projective readout.
+  local projective readout when every ideal image u00|psi_n> of its input
+  frame is a product state, as for the entangling chain and the identity;
+  a generic (Haar-random) gate has entangled images, and this package does
+  not check the condition.
 * Their combination sandwiches the process fidelity:
   fz + fx - 1 <= chi_00 <= min(fz, fx).
 * For entangling chain gates the sandwich converts into operational
@@ -23,12 +26,13 @@ The correlation the floor is checked against is simulator ground truth,
 read from four entries of each Kraus operator (``ghz_summary``); the package
 never forms a density matrix.
 
-``certify`` checks the first fact on every run: the 2**(n+1) - 1 diagonal
-entries it needs, the phase-only column and the bit-only row that share
-chi_00, come from ``channel._transfer_entries``, and their sums must match
-fz and fx from the basis-state sweeps, which never read chi.  The phase
-column goes through the Walsh sign table and the fz sweep does not; the fx
-sweep's Hadamard frame is that table and the bit row does not read it.
+Every report, exact or sampled, checks the first fact on every run
+(``_checked_transfer``): the 2**(n+1) - 1 diagonal entries it needs, the
+phase-only column and the bit-only row that share chi_00, come from
+``channel._transfer_entries``, and their sums must match fz and fx from
+the basis-state sweeps, which never read chi.  The phase column goes
+through the Walsh sign table and the fz sweep does not; the fx sweep's
+Hadamard frame is that table and the bit row does not read it.
 """
 
 from __future__ import annotations
@@ -351,20 +355,29 @@ def _assemble_report(
     )
 
 
-def certify(channel: Channel, gate: GateSpec) -> FidelityReport:
-    """Run the full two-basis certification of a channel against its target gate.
+def _checked_transfer(channel: Channel, gate: GateSpec) -> tuple[float, dict[str, tuple[np.ndarray, float]]]:
+    """The process fidelity and both sweeps, each basis keyed to its (probabilities, mean), cross-checked.
 
     Computes the 2**(n+1) - 1 process-matrix entries the certificate reads
     (``channel._transfer_entries``: the phase-only column, the bit-only row
-    and chi_00, which they share), simulates both transfer fidelities,
-    cross-checks the diagonal identities, and assembles the bounds and
-    verdicts into a report.  For the 3-qubit entangling chain the report also
-    carries the measured three-party correlation and its fidelity floor.  The
-    process fidelity is entry 0 of the phase column; the full 4**n-entry
-    diagonal is never formed.
+    and chi_00, which they share), runs both ``classical_fidelity`` sweeps
+    and checks the diagonal identities.  The process fidelity is entry 0 of
+    the phase column; the full 4**n-entry diagonal is never formed.  Exact
+    and sampled reports both start here, so they run the same checks.
     """
     phase, bit = _transfer_entries(channel, gate)
-    _, fz = classical_fidelity(channel, gate, "z")
-    _, fx = classical_fidelity(channel, gate, "x")
-    _require_diagonal_identity(fz, fx, phase, bit)
-    return _assemble_report(channel, gate, float(phase[0]), fz, fx)
+    sweeps = {basis: classical_fidelity(channel, gate, basis) for basis in BASES}
+    _require_diagonal_identity(sweeps["z"][1], sweeps["x"][1], phase, bit)
+    return float(phase[0]), sweeps
+
+
+def certify(channel: Channel, gate: GateSpec) -> FidelityReport:
+    """Run the full two-basis certification of a channel against its target gate.
+
+    Takes the process fidelity and both exact transfer fidelities from
+    ``_checked_transfer`` and assembles the bounds and verdicts into a
+    report.  For the 3-qubit entangling chain the report also carries the
+    measured three-party correlation and its fidelity floor.
+    """
+    f_process, sweeps = _checked_transfer(channel, gate)
+    return _assemble_report(channel, gate, f_process, sweeps["z"][1], sweeps["x"][1])

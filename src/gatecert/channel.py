@@ -298,27 +298,6 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
     return phase, bit
 
 
-def _chi_00(channel: Channel, gate: GateSpec) -> float:
-    """The process fidelity chi_{0,0} = sum_m |Tr{u00^dag K_m}|^2 / 4**n alone.
-
-    Tr{u00^dag K_m} is the inner product of the flattened K_m with the
-    flattened u00, so all m traces are one product of the (m x 4**n) view of
-    the stack with vec(conj(u00)), O(m 4**n), and nothing of the stack's size
-    is allocated.  By Cauchy-Schwarz |Tr{u00^dag K_m}|^2 <=
-    Tr{u00^dag u00} Tr{K_m^dag K_m}, and those bounds sum to
-    2**n Tr{sum_m K_m^dag K_m} = 4**n, so the value lies in [0, 1] up to the
-    unitarity and completeness tolerances; anything else, NaN included, is a
-    bug and raises ConsistencyError.
-    """
-    d = 1 << _check_pair(channel, gate)
-    kraus = channel.kraus_ops
-    traces = kraus.reshape(len(kraus), d * d) @ gate.u00.conj().reshape(d * d)
-    value = float(np.vdot(traces, traces).real) / (d * d)
-    if not 0.0 <= value <= 1.0 + TOL.chi_diagonal:
-        raise ConsistencyError(f"process fidelity {value!r} lies outside [0, 1]; the contraction is broken")
-    return value
-
-
 def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
     """Decompose a channel over the gate-relative error basis.
 

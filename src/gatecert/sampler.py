@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, _chi_00
-from .certify import BASES, FidelityReport, _assemble_report, classical_fidelity
+from .channel import Channel
+from .certify import BASES, FidelityReport, _assemble_report, _checked_transfer, classical_fidelity
 from .core import GateSpec
 from .tolerances import TOL
 
@@ -70,14 +70,8 @@ class FidelityEstimate:
             raise ValueError("estimated mean disagrees with the pooled counts")
 
 
-def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> FidelityEstimate:
-    """Simulate M shots per basis input and pool them into one estimate.
-
-    All inputs are drawn in one call, in index order, from a single generator
-    seeded from the plan, so a given (channel, gate, plan) triple always
-    produces identical counts.
-    """
-    probabilities, _ = classical_fidelity(channel, gate, plan.basis)
+def _draw(probabilities: np.ndarray, plan: ShotPlan) -> FidelityEstimate:
+    """Pool binomial success counts drawn at the per-input ``probabilities`` under ``plan``."""
     rng = np.random.default_rng(plan.seed)
     shots = plan.shots_per_input
     counts = dict(enumerate(rng.binomial(shots, probabilities).tolist()))
@@ -87,20 +81,32 @@ def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> Fidelit
     return FidelityEstimate(pooled, std_error, total, counts)
 
 
+def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> FidelityEstimate:
+    """Simulate M shots per basis input and pool them into one estimate.
+
+    All inputs are drawn in one call, in index order, from a single generator
+    seeded from the plan, so a given (channel, gate, plan) triple always
+    produces identical counts.
+    """
+    probabilities, _ = classical_fidelity(channel, gate, plan.basis)
+    return _draw(probabilities, plan)
+
+
 def sampled_report(channel: Channel, gate: GateSpec, shots_per_input: int, seed: int) -> FidelityReport:
     """Certification report with finite-shot fz and fx instead of exact values.
 
-    Both bases are sampled with sub-seeds derived via ``basis_subseed``; all
-    bound and verdict arithmetic then runs on the estimated means.  The
-    process fidelity and the three-party correlation remain exact simulator
-    ground truth, so a sampled report can show the estimates landing outside
-    the exact sandwich; that scatter is the point of sampling.  The process
-    fidelity is chi_{0,0} alone (``channel._chi_00``, one O(m 4**n)
-    contraction), since no other entry of the process matrix is read here.
+    The exact pass is ``certify``'s own (``certify._checked_transfer``), with
+    every internal check it runs; the counts of each basis are then drawn from
+    its per-input probabilities with the sub-seed of ``basis_subseed``, the
+    same counts ``sample_transfer`` draws.  All bound and verdict arithmetic
+    runs on the estimated means.  The process fidelity and the three-party
+    correlation remain exact simulator ground truth, bit for bit those of
+    ``certify``, so a sampled report can show the estimates landing outside
+    the exact sandwich; that scatter is the point of sampling.
     """
-    f_process = _chi_00(channel, gate)
-    est_z = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "z"), "z"))
-    est_x = sample_transfer(channel, gate, ShotPlan(shots_per_input, basis_subseed(seed, "x"), "x"))
+    plans = {basis: ShotPlan(shots_per_input, basis_subseed(seed, basis), basis) for basis in BASES}
+    f_process, sweeps = _checked_transfer(channel, gate)
+    est_z, est_x = (_draw(sweeps[basis][0], plan) for basis, plan in plans.items())
     return _assemble_report(
         channel,
         gate,

@@ -41,9 +41,9 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Certification reads only 2**(N+1) - 1 diagonal entries of the process
-# matrix (its phase-only column and bit-only row), sampling only its entry
-# chi_00, and basis-check works on the 2**N x 2**N u^dag u, but the text of
+# Certification, exact or sampled, reads only 2**(N+1) - 1 diagonal entries
+# of the process matrix (its phase-only column and bit-only row), and
+# basis-check works on the 2**N x 2**N u^dag u, but the text of
 # the process matrix that --include-chi writes still holds 16**N entries.
 # Six qubits (16.8 million entries, about 201 MB of JSON) is the largest
 # configuration that stays desk-friendly.

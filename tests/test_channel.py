@@ -3,7 +3,6 @@ import pytest
 
 from gatecert.channel import (
     Channel,
-    _chi_00,
     _completeness_residual,
     _error_coefficients,
     _transfer_entries,
@@ -19,6 +18,7 @@ from gatecert.core import (
 )
 from gatecert.certify import ghz_chain_gate
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
+from gatecert.sampler import sampled_report
 from gatecert.tolerances import TOL
 from _oracles import (
     allocation_peak,
@@ -287,12 +287,14 @@ def test_nan_coefficients_fail_the_error_distribution_check(monkeypatch):
     ids=lambda spec: spec.kind,
 )
 def test_chi_00_is_entry_0_of_the_chi_diagonal(n_qubits, spec):
+    # the process fidelity a sampled report carries, against the bit row and the full transform
     rng = np.random.default_rng(700 + n_qubits)
     gate = GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
     channel = noisy_gate(gate, spec)
-    phase, bit = _transfer_entries(channel, gate)
-    assert abs(_chi_00(channel, gate) - phase[0]) <= 1e-14
-    assert abs(_chi_00(channel, gate) - bit[0]) <= 1e-14
+    chi_00 = sampled_report(channel, gate, shots_per_input=1, seed=0).f_process_exact
+    _, bit = _transfer_entries(channel, gate)
+    assert abs(chi_00 - bit[0]) <= 1e-14
+    assert abs(chi_00 - process_fidelity(kraus_to_chi(channel, gate))) <= 1e-14
 
 
 @pytest.mark.parametrize("rank", [1, 15, 16, 17])
@@ -330,31 +332,20 @@ def test_transfer_entries_stay_at_a_few_coefficient_arrays():
     assert channel.kraus_ops.nbytes == 32 * coefficient_bytes
 
 
-def test_chi_00_allocates_nothing_of_the_stack_size():
-    # n = 5 full rank: a 16 MB stack, whose m traces and vec(conj(u00)) are
-    # 16 KiB each; the full diagonal would also transform the stack block by block
-    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(75), 32))
-    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
-    operator_bytes = gate.u00.nbytes
-    _, peak = allocation_peak(lambda: _chi_00(channel, gate))
-    assert peak <= 3 * operator_bytes, peak / operator_bytes
-    assert channel.kraus_ops.nbytes == 1024 * operator_bytes
-
-
 @pytest.mark.parametrize("scale", [1.01, np.nan])
 def test_chi_00_outside_the_unit_interval_is_a_consistency_error(scale):
     # only a broken invariant can push the Cauchy-Schwarz-bounded value out of
-    # [0, 1]; the check must also catch NaN
+    # [0, 1]; a sampled report must catch it, NaN included, before any draw
     gate = GateSpec.identity(2)
     channel = Channel(2, gate.u00[np.newaxis])
     object.__setattr__(channel, "kraus_ops", scale * channel.kraus_ops)
     with pytest.raises(ConsistencyError, match=r"\[0, 1\]"):
-        _chi_00(channel, gate)
+        sampled_report(channel, gate, shots_per_input=10, seed=0)
 
 
 def test_chi_00_checks_the_qubit_counts():
     with pytest.raises(ValueError, match="qubit"):
-        _chi_00(random_cptp(2, rank=2, seed=1), GateSpec.identity(3))
+        sampled_report(random_cptp(2, rank=2, seed=1), GateSpec.identity(3), shots_per_input=10, seed=0)
 
 
 def test_error_distribution_check_rejects_nan():

@@ -44,6 +44,10 @@ def run(tmp_path, *argv):
     return code, doc
 
 
+# both report modes run the same exact pass and its internal checks
+REPORT_COMMANDS = (["certify"], ["sample", "--shots", "100"])
+
+
 def test_certify_perfect_chain(tmp_path):
     code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3")
     assert code == 0
@@ -210,10 +214,11 @@ def test_a_broken_transform_exits_with_the_consistency_code(monkeypatch, tmp_pat
         return table
 
     monkeypatch.setattr(channel_module, "_walsh_signs", skewed_signs)
-    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2", "--noise", "depolarizing_global:0.1")
-    assert code == 2
-    assert doc is None
-    assert "internal consistency failure" in capsys.readouterr().err
+    for command in REPORT_COMMANDS:
+        code, doc = run(tmp_path, *command, "--gate", "ghz-chain", "--qubits", "2", "--noise", "depolarizing_global:0.1")
+        assert code == 2, command
+        assert doc is None
+        assert "internal consistency failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rank", [31, 32])
@@ -225,18 +230,20 @@ def test_a_skewed_complementary_frame_exits_with_the_consistency_code(monkeypatc
         "gate": {"builtin": "ghz-chain", "qubits": 3},
         "noise": {"kind": "random_cptp", "rank": rank, "seed": rank},
     }))
-    code, doc = run(tmp_path, "certify", "--config", str(config))
-    assert code == 2
-    assert doc is None
-    assert "diagonal sums" in capsys.readouterr().err
+    for command in REPORT_COMMANDS:
+        code, doc = run(tmp_path, *command, "--config", str(config))
+        assert code == 2, command
+        assert doc is None
+        assert "diagonal sums" in capsys.readouterr().err
 
 
 def test_a_corrupted_bit_frame_exits_with_the_consistency_code(monkeypatch, tmp_path, capsys):
     swap_in_the_x_1_bit_frame(monkeypatch)
-    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3", "--noise", "depolarizing_global:0.1")
-    assert code == 2
-    assert doc is None
-    assert "routes to chi_00" in capsys.readouterr().err
+    for command in REPORT_COMMANDS:
+        code, doc = run(tmp_path, *command, "--gate", "ghz-chain", "--qubits", "3", "--noise", "depolarizing_global:0.1")
+        assert code == 2, command
+        assert doc is None
+        assert "routes to chi_00" in capsys.readouterr().err
 
 
 def test_basis_check_over_capacity(capsys):
@@ -506,6 +513,30 @@ def test_sample_command_round_trips_and_is_seeded(tmp_path):
     assert set(doc_a["counts"]) == {"z", "x"}
     _, doc_c = run(tmp_path, *args[:-1], "6")
     assert doc_c["counts"] != doc_a["counts"]
+
+
+CHAIN_3 = {"builtin": "ghz-chain", "qubits": 3}
+FAMILY_CELLS = [(kind, p) for kind in ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit") for p in (0.05, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "gate,noise",
+    [
+        *((CHAIN_3, {"kind": kind, "p": p}) for kind, p in FAMILY_CELLS),
+        (CHAIN_3, {"kind": "random_cptp", "rank": 7, "seed": 4}),
+        ({"matrix": matrix_to_pairs(haar_unitary(np.random.default_rng(3), 8))}, {"kind": "depolarizing_global", "p": 0.05}),
+    ],
+    ids=[*(f"{kind}-{p}" for kind, p in FAMILY_CELLS), "random_cptp-7", "haar"],
+)
+def test_sample_carries_the_exact_fields_of_certify_bit_for_bit(tmp_path, gate, noise):
+    # a sampled report's ground truth is the exact pass of certify, not a second route to chi_00
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gate": gate, "noise": noise}))
+    _, exact = run(tmp_path, "certify", "--config", str(path))
+    _, sampled = run(tmp_path, "sample", "--config", str(path), "--shots", "100")
+    for field in ("f_process_exact", "ghz_expectation", "ghz_floor"):
+        assert sampled[field] == exact[field], field
+    assert (exact["ghz_floor"] is None) == ("matrix" in gate)
 
 
 def test_stdout_output(capsys):
