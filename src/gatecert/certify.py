@@ -87,6 +87,8 @@ class FidelityReport:
     (simulator ground truth); ``fz``/``fx`` are exact transfer fidelities or
     finite-shot estimates depending on ``provenance``.  The three-party
     correlation fields are populated only for the 3-qubit entangling chain.
+    Construction re-derives the bounds, the floor and both verdicts from fz,
+    fx and F, so a report, or a document read back, cannot disagree with them.
     """
 
     fz: float
@@ -110,11 +112,23 @@ class FidelityReport:
         if (self.ghz_expectation is None) != (self.ghz_floor is None):
             raise ValueError("correlation expectation and floor must be reported together")
         _check_unit_interval(fz=self.fz, fx=self.fx)
-        expected_cap = 2.0 * self.fz + 2.0 * self.fx - 3.0
-        if not abs(self.capability_bound - expected_cap) <= TOL.capability_arithmetic:
-            raise ConsistencyError(
-                f"capability bound {self.capability_bound!r} disagrees with 2(fz + fx) - 3"
-            )
+        derived = [
+            ("capability bound", self.capability_bound, 2.0 * self.fz + 2.0 * self.fx - 3.0, "2(fz + fx) - 3"),
+            ("lower bound", self.lower_bound, self.fz + self.fx - 1.0, "fz + fx - 1"),
+            ("upper bound", self.upper_bound, min(self.fz, self.fx), "min(fz, fx)"),
+        ]
+        if self.ghz_floor is not None:
+            derived.append(("correlation floor", self.ghz_floor, 8.0 * self.f_process_exact - 4.0, "8F - 4"))
+        for name, value, expected, formula in derived:
+            if not abs(value - expected) <= TOL.capability_arithmetic:
+                raise ConsistencyError(f"{name} {value!r} disagrees with {formula}")
+        average = (self.fz + self.fx) / 2.0
+        for name, verdict, threshold in (
+            ("capability", self.capability_certified, CAPABILITY_THRESHOLD),
+            ("violation", self.violation_certified, VIOLATION_THRESHOLD),
+        ):
+            if verdict != (average > threshold):
+                raise ConsistencyError(f"{name} verdict {verdict!r} disagrees with (fz + fx)/2 > {threshold}")
         if self.provenance == "exact":
             if not (
                 self.lower_bound - TOL.bound_dust

@@ -3,14 +3,14 @@
 Three subcommands, each taking only the flags it reads; a flag wins over the
 same setting of ``--config``, whose every field ``_config_value`` reads:
 
-* ``certify``: run the two-basis certification (exact or sampled) and write
-  a JSON report; all nine flags.
+* ``certify``: run the exact two-basis certification and write a JSON
+  report; every flag but ``--shots`` and ``--seed``.
 * ``basis-check``: verify the orthogonality of the chosen gate's error
   basis, printing the worst residual of its Gram matrix; the residual comes
   in closed form from u00^dag u00 (``core.orthogonality_residual``), so the
   4**n-operator basis is never built.  Only ``--gate``, ``--qubits`` and
   the gate settings of ``--config``.
-* ``sample``: a sampled certification run; every flag but ``--mode``.
+* ``sample``: a finite-shot certification run; all eight flags.
 
 Exit codes: 0 on success, 1 on invalid input (malformed JSON, a config key
 its section does not take, a config field of the wrong type, too large for a
@@ -75,7 +75,7 @@ _REQUIRED = object()
 # The keys each config section takes; any other key is an error.  The noise
 # section's keys depend on its kind: a family takes p, random_cptp rank and seed.
 _CONFIG_KEYS = {
-    "top-level": ("gate", "noise", "mode", "shots", "seed", "output"),
+    "top-level": ("gate", "noise", "shots", "seed", "output"),
     "gate": ("builtin", "qubits", "matrix", "name"),
     "noise": ("kind", "p"),
     "random_cptp noise": ("kind", "rank", "seed"),
@@ -95,23 +95,25 @@ _REPORT_FIELDS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one command invocation."""
+    """Fully resolved settings for one command invocation; a run with ``shots`` samples."""
 
     gate: GateSpec
     noise: NoiseSpec | None = None
-    mode: str = "exact"
     shots: int | None = None
     seed: int = 0
     output: str = "-"
     include_chi: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and (self.shots is None or self.shots < 1):
-            raise ValueError("sampled mode needs a positive --shots value")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+
+    @property
+    def mode(self) -> str:
+        """``"exact"``, or ``"sampled"`` for a run with ``shots``."""
+        return "exact" if self.shots is None else "sampled"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,15 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
     for cmd in (certify_cmd, sample_cmd):
         cmd.add_argument("--noise", help="noise as kind:p, e.g. depolarizing_global:0.1")
-        cmd.add_argument("--shots", type=int, help="shots per input state in sampled mode")
-        cmd.add_argument("--seed", type=int, help="seed for sampled runs")
+        if cmd is sample_cmd:
+            cmd.add_argument("--shots", type=int, help="shots per input state (required)")
+            cmd.add_argument("--seed", type=int, help="seed of the shot draws (default 0)")
         cmd.add_argument("--output", help='report destination path, or "-" for stdout')
-        cmd.add_argument(
-            "--include-chi",
-            action="store_true",
-            help="embed the serialized process matrix in the report",
-        )
-    certify_cmd.add_argument("--mode", choices=("exact", "sampled"), help="certification mode")
+        cmd.add_argument("--include-chi", action="store_true", help="embed the serialized process matrix in the report")
     return parser
 
 
@@ -295,7 +293,7 @@ def _noise_from_settings(settings: dict) -> NoiseSpec | None:
 
 
 def run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Merge a JSON config (if any) with command-line flags; flags win.  ``basis-check`` reads only the gate."""
+    """Merge a JSON config (if any) with command-line flags; flags win.  ``sample`` alone reads shots and seed."""
     settings = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as handle:
@@ -306,15 +304,15 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
     gate = _gate_from_settings(_config_value(settings, "gate", dict, {}), args.gate, args.qubits)
     if args.command == "basis-check":
         return RunConfig(gate=gate)
-    return RunConfig(
-        gate=gate,
-        noise=_noise_from_flag(args.noise) if args.noise is not None else _noise_from_settings(settings),
-        mode="sampled" if args.command == "sample" else args.mode or _config_value(settings, "mode", str, "exact"),
-        shots=args.shots if args.shots is not None else _config_value(settings, "shots", int, None),
-        seed=args.seed if args.seed is not None else _config_value(settings, "seed", int, 0),
-        output=args.output if args.output is not None else _config_value(settings, "output", str, "-"),
-        include_chi=args.include_chi,
-    )
+    noise = _noise_from_flag(args.noise) if args.noise is not None else _noise_from_settings(settings)
+    shots, seed = None, 0
+    if args.command == "sample":
+        shots = args.shots if args.shots is not None else _config_value(settings, "shots", int, None)
+        if shots is None:
+            raise ValueError("sample needs a shot count: pass --shots or a config 'shots' field")
+        seed = args.seed if args.seed is not None else _config_value(settings, "seed", int, 0)
+    output = args.output if args.output is not None else _config_value(settings, "output", str, "-")
+    return RunConfig(gate, noise, shots, seed, output, args.include_chi)
 
 
 def _channel_for(config: RunConfig) -> Channel:
@@ -425,7 +423,6 @@ def main(argv=None) -> int:
         config = run_config_from_args(args)
         if args.command == "basis-check":
             return cmd_basis_check(config)
-        # run_config_from_args has already put ``sample`` into sampled mode.
         return cmd_certify(config)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from gatecert.cli import (
     report_from_dict,
     report_to_dict,
 )
-from gatecert.core import GateSpec, build_error_basis
+from gatecert.core import ConsistencyError, GateSpec, build_error_basis
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
 from _oracles import allocation_peak, haar_unitary, skew_the_complementary_frame, swap_in_the_x_1_bit_frame
@@ -127,12 +128,14 @@ def test_certify_rejects_unknown_gate(tmp_path, capsys):
     assert "toffoli" in capsys.readouterr().err
 
 
-def test_certify_requires_shots_in_sampled_mode(tmp_path, capsys):
-    code, _ = run(
-        tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "3", "--mode", "sampled"
-    )
+@pytest.mark.parametrize("shots", [None, 0], ids=["missing", "zero"])
+def test_sample_requires_a_positive_shot_count(tmp_path, capsys, shots):
+    argv = ["sample", "--gate", "ghz-chain", "--qubits", "3"]
+    code, doc = run(tmp_path, *argv, *([] if shots is None else ["--shots", str(shots)]))
     assert code == 1
-    assert "shots" in capsys.readouterr().err
+    assert doc is None
+    err = capsys.readouterr().err
+    assert ("--shots" if shots is None else "shots must be at least 1, got 0") in err
 
 
 def test_random_cptp_needs_a_config(tmp_path, capsys):
@@ -358,8 +361,6 @@ WRONG_CONFIG_FIELDS = [
     ("p-string", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": "0.3"}}, "p must be a number, got '0.3'"),
     ("output-2", "sample", {"output": 2}, "output must be a string, got 2"),
     ("output-True", "sample", {"output": True}, "output must be a string, got True"),
-    ("mode-empty", "certify", {"mode": ""}, "mode must be 'exact' or 'sampled', got ''"),
-    ("mode-False", "certify", {"mode": False}, "mode must be a string, got False"),
     ("name-5", "certify", _cnot_config(name=5), "name must be a string, got 5"),
     ("kind-3", "sample", {"noise": {"kind": 3, "p": 0.1}}, "kind must be a string, got 3"),
     ("builtin-3", "sample", {"gate": {"builtin": 3, "qubits": 2}}, "builtin must be a string, got 3"),
@@ -394,17 +395,22 @@ def test_fractional_or_non_numeric_config_integers_are_rejected_by_name(
     assert list(tmp_path.iterdir()) == [path]
 
 
-# (section, subcommand, the settings replacing those of _sample_config, the unknown key)
+# (id, section, subcommand, the settings replacing those of _sample_config, the unknown key)
 UNKNOWN_CONFIG_KEYS = [
-    ("top-level", "sample", {"seeed": 7}, "seeed"),
-    ("gate", "sample", {"gate": {"builtin": "ghz-chain", "qubits": 2, "qubit": 3}}, "qubit"),
-    ("noise", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": 0.1, "rank": 3}}, "rank"),
-    ("random_cptp noise", "sample", {"noise": {"kind": "random_cptp", "rank": 2, "seed": 7, "p": 0.1}}, "p"),
+    ("top-level", "top-level", "sample", {"seeed": 7}, "seeed"),
+    ("gate", "gate", "sample", {"gate": {"builtin": "ghz-chain", "qubits": 2, "qubit": 3}}, "qubit"),
+    ("noise", "noise", "sample", {"noise": {"kind": "dephasing_per_qubit", "p": 0.1, "rank": 3}}, "rank"),
+    ("random_cptp noise", "random_cptp noise", "sample",
+     {"noise": {"kind": "random_cptp", "rank": 2, "seed": 7, "p": 0.1}}, "p"),
+    # the subcommand chooses the report; a config cannot
+    ("top-level mode", "top-level", "certify", {"mode": "sampled"}, "mode"),
 ]
 
 
 @pytest.mark.parametrize(
-    "section,command,settings,key", UNKNOWN_CONFIG_KEYS, ids=[case[0] for case in UNKNOWN_CONFIG_KEYS]
+    "section,command,settings,key",
+    [case[1:] for case in UNKNOWN_CONFIG_KEYS],
+    ids=[case[0] for case in UNKNOWN_CONFIG_KEYS],
 )
 def test_an_unknown_config_key_is_rejected_by_name(tmp_path, monkeypatch, capsys, section, command, settings, key):
     # a misspelled key must not run silently with the default of the field it meant
@@ -439,13 +445,16 @@ def test_a_null_config_field_counts_as_absent(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     plain, nulls = tmp_path / "plain.json", tmp_path / "nulls.json"
     plain.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 2}}))
-    fields = ("noise", "mode", "shots", "seed", "output")
+    fields = ("noise", "shots", "seed", "output")
     gate = {"builtin": "ghz-chain", "qubits": 2, "matrix": None, "name": None}
     nulls.write_text(json.dumps({"gate": gate, **dict.fromkeys(fields)}))
     for path in (plain, nulls):
         config = cli.run_config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
         resolved = (config.gate.name, *(getattr(config, field) for field in fields))
-        assert resolved == ("ghz-chain", None, "exact", None, 0, "-")
+        assert resolved == ("ghz-chain", None, None, 0, "-")
+        # sample reads the seed too, and a null seed is 0
+        config = cli.run_config_from_args(build_parser().parse_args(["sample", "--config", str(path), "--shots", "5"]))
+        assert (config.shots, config.seed) == (5, 0)
     # the report goes to stdout, not to open(None)
     assert main(["certify", "--config", str(nulls)]) == 0
     assert json.loads(capsys.readouterr().out)["gate"] == {"name": "ghz-chain", "qubits": 2}
@@ -562,6 +571,31 @@ def test_sampled_report_round_trip_is_lossless():
     doc = report_to_dict(report, gate, NoiseSpec("bitflip_per_qubit", 0.07))
     rebuilt = report_from_dict(json.loads(json.dumps(doc)))
     assert rebuilt == report
+
+
+# edits of an exact chain-3 document at depolarizing_global:0.6 (fz = fx = 0.475,
+# F = 0.409, both verdicts false) that keep fz, fx and F in their ranges and F
+# inside the bounds the document states
+TAMPERED_FIELDS = {
+    "verdicts-at-one-half": {
+        "fz": 0.5, "fx": 0.5, "lower_bound": 0.0, "upper_bound": 0.5, "capability_bound": -1.0,
+        "capability_certified": True, "violation_certified": True,
+    },
+    "lower-bound": {"lower_bound": -0.7},
+    "upper-bound": {"upper_bound": 0.99},
+    "ghz-floor": {"ghz_floor": -3.0},
+    "capability-verdict": {"capability_certified": True},
+    "violation-verdict": {"violation_certified": True},
+}
+
+
+@pytest.mark.parametrize("edits", TAMPERED_FIELDS.values(), ids=TAMPERED_FIELDS)
+def test_a_document_whose_arithmetic_disagrees_with_its_fidelities_is_rejected(edits):
+    gate, noise = ghz_chain_gate(3), NoiseSpec("depolarizing_global", 0.6)
+    doc = json.loads(json.dumps(report_to_dict(certify(noisy_gate(gate, noise), gate), gate, noise)))
+    report_from_dict(doc)
+    with pytest.raises(ConsistencyError, match="disagrees with"):
+        report_from_dict({**doc, **edits})
 
 
 def test_matrix_pair_serialization_round_trip():
@@ -712,6 +746,10 @@ def test_flag_misuse_exits_with_invalid_input_code():
         ["basis-check", "--noise", "depolarizing_global:0.1"],
         ["basis-check", "--shots", "100"],
         ["sample", "--mode", "exact", "--noise", "depolarizing_global:0.1", "--shots", "100", "--output", "report.json"],
+        # the subcommand is the mode: only sample reads shots and a seed
+        ["certify", "--mode", "sampled", "--output", "report.json"],
+        ["certify", "--shots", "100", "--output", "report.json"],
+        ["certify", "--seed", "7", "--output", "report.json"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -726,8 +764,8 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypa
 
 @pytest.mark.parametrize(
     "settings",
-    [{"noise": {"kind": "amplitude_damping", "p": 0.1}}, {"mode": "sampled"}],
-    ids=["unknown-noise", "sampled-without-shots"],
+    [{"noise": {"kind": "amplitude_damping", "p": 0.1}}, {"shots": 0}],
+    ids=["unknown-noise", "zero-shots"],
 )
 def test_basis_check_reads_only_the_gate_settings_of_a_config(tmp_path, capsys, settings):
     assert main(["basis-check", "--gate", "ghz-chain", "--qubits", "3"]) == 0
@@ -737,6 +775,18 @@ def test_basis_check_reads_only_the_gate_settings_of_a_config(tmp_path, capsys, 
     assert main(["basis-check", "--config", str(path)]) == 0
     assert capsys.readouterr().out == expected
     assert len(expected.splitlines()) == 3
+
+
+def test_certify_reads_no_shots_or_seed_of_a_config(tmp_path, capsys):
+    # only sample reads them, so values sample would reject leave certify's report as it is
+    path = tmp_path / "config.json"
+    written = []
+    for settings in ({}, {"shots": 0, "seed": -1}):
+        path.write_text(json.dumps({"gate": {"builtin": "ghz-chain", "qubits": 3}, **settings}))
+        assert main(["certify", "--config", str(path)]) == 0
+        written.append(capsys.readouterr().out)
+    assert written[0] == written[1]
+    assert json.loads(written[0])["provenance"]["fz"] == "exact"
 
 
 def test_build_parser_returns_a_new_parser_each_call():
@@ -843,8 +893,34 @@ def test_the_readme_config_example_resolves_to_the_settings_it_shows(tmp_path):
     example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(example))
-    config = cli.run_config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
+    config = cli.run_config_from_args(build_parser().parse_args(["sample", "--config", str(path)]))
     gate, noise = example["gate"], example["noise"]
     assert (config.gate.name, config.gate.n_qubits) == (gate["builtin"], gate["qubits"])
     assert config.noise == NoiseSpec(noise["kind"], noise["p"])
-    assert (config.mode, config.shots, config.seed) == (example["mode"], example["shots"], example["seed"])
+    assert (config.mode, config.shots, config.seed) == ("sampled", example["shots"], example["seed"])
+
+
+def test_the_readme_flag_lists_and_config_table_match_the_parser_and_the_config_keys():
+    # each subcommand's flag list and each (field, section) row of the config
+    # table name exactly what build_parser() and _CONFIG_KEYS take
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for item in section.split("\n* `")[1:]:
+        command, flags = item.split("\n\n", 1)[0].split("`:", 1)
+        documented[command] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    subparsers = next(action for action in build_parser()._actions if action.choices)
+    options = {
+        command: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in subparsers.choices.items()
+    }
+    assert documented == options
+
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    table = {(field.strip(" `"), where.strip(" `").replace("top level", "top-level")) for field, where, *_ in rows}
+    keys = {
+        (key, "noise" if kind == "random_cptp noise" else kind) for kind, taken in cli._CONFIG_KEYS.items() for key in taken
+    }
+    assert table == keys
+    table_flags = {flag.strip(" `") for *_, flag in rows} - {""}
+    assert table_flags <= set().union(*options.values())
