@@ -17,7 +17,6 @@ from .channel import (
 from .certify import (
     BASES,
     CAPABILITY_THRESHOLD,
-    CLASSICAL_CORRELATION_CEILING,
     VIOLATION_THRESHOLD,
     FidelityReport,
     capability_bound,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BASES",
     "CAPABILITY_THRESHOLD",
-    "CLASSICAL_CORRELATION_CEILING",
     "CapacityError",
     "Channel",
     "ChiMatrix",

@@ -33,6 +33,12 @@ phase-only column and the bit-only row that share chi_00, come from
 the basis-state sweeps, which never read chi.  The phase column goes
 through the Walsh sign table and the fz sweep does not; the fx sweep's
 Hadamard frame is that table and the bit row does not read it.
+
+The certificate rule, every report field that fz and fx alone decide, is
+stated once, in ``_certificate``; the report's check, its assembly and the
+exported helpers all read it.  A change to the verdicts, such as gating them
+on the target or subtracting a sampling margin from estimates, is made there
+alone.  The correlation floor 8F - 4 lives in ``ghz_floor``.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ __all__ = [
     "BASES",
     "CAPABILITY_THRESHOLD",
     "VIOLATION_THRESHOLD",
-    "CLASSICAL_CORRELATION_CEILING",
     "FidelityReport",
     "classical_fidelity",
     "fidelity_bounds",
@@ -75,9 +80,6 @@ BASES = ("z", "x")
 CAPABILITY_THRESHOLD = 3.0 / 4.0
 VIOLATION_THRESHOLD = 7.0 / 8.0
 
-# Any local-realistic model keeps the four-term correlation within +/- 2.
-CLASSICAL_CORRELATION_CEILING = 2.0
-
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -88,7 +90,8 @@ class FidelityReport:
     finite-shot estimates depending on ``provenance``.  The three-party
     correlation fields are populated only for the 3-qubit entangling chain.
     Construction re-derives the bounds, the floor and both verdicts from fz,
-    fx and F, so a report, or a document read back, cannot disagree with them.
+    fx and F, so a report, or a document read back, cannot disagree with them,
+    and requires the standard errors and counts that its provenance implies.
     """
 
     fz: float
@@ -111,24 +114,18 @@ class FidelityReport:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
         if (self.ghz_expectation is None) != (self.ghz_floor is None):
             raise ValueError("correlation expectation and floor must be reported together")
-        _check_unit_interval(fz=self.fz, fx=self.fx)
-        derived = [
-            ("capability bound", self.capability_bound, 2.0 * self.fz + 2.0 * self.fx - 3.0, "2(fz + fx) - 3"),
-            ("lower bound", self.lower_bound, self.fz + self.fx - 1.0, "fz + fx - 1"),
-            ("upper bound", self.upper_bound, min(self.fz, self.fx), "min(fz, fx)"),
-        ]
+        expected = _certificate(self.fz, self.fx)
         if self.ghz_floor is not None:
-            derived.append(("correlation floor", self.ghz_floor, 8.0 * self.f_process_exact - 4.0, "8F - 4"))
-        for name, value, expected, formula in derived:
-            if not abs(value - expected) <= TOL.capability_arithmetic:
-                raise ConsistencyError(f"{name} {value!r} disagrees with {formula}")
-        average = (self.fz + self.fx) / 2.0
-        for name, verdict, threshold in (
-            ("capability", self.capability_certified, CAPABILITY_THRESHOLD),
-            ("violation", self.violation_certified, VIOLATION_THRESHOLD),
-        ):
-            if verdict != (average > threshold):
-                raise ConsistencyError(f"{name} verdict {verdict!r} disagrees with (fz + fx)/2 > {threshold}")
+            expected["ghz_floor"] = ghz_floor(self.f_process_exact)
+        for name, value in expected.items():
+            recorded = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                agrees = recorded == value
+            else:
+                agrees = abs(recorded - value) <= TOL.capability_arithmetic
+            if not agrees:
+                raise ConsistencyError(f"{name} {recorded!r} disagrees with {value!r}, its value from fz, fx and F")
+        self._check_estimates()
         if self.provenance == "exact":
             if not (
                 self.lower_bound - TOL.bound_dust
@@ -140,6 +137,24 @@ class FidelityReport:
                     f"{self.lower_bound!r} <= {self.f_process_exact!r} "
                     f"<= {self.upper_bound!r} failed"
                 )
+
+    def _check_estimates(self) -> None:
+        """An exact report has no standard errors or counts; a sampled one has both, well formed."""
+        errors = {"fz_std_error": self.fz_std_error, "fx_std_error": self.fx_std_error}
+        if self.provenance == "exact":
+            if any(error is not None for error in errors.values()) or self.counts is not None:
+                raise ValueError("an exact report carries no standard errors and no counts")
+            return
+        for name, error in errors.items():
+            if error is None or not 0.0 <= error < math.inf:
+                raise ValueError(f"{name} of a sampled report must be finite and non-negative, got {error!r}")
+        counts = self.counts if isinstance(self.counts, dict) and self.counts.keys() == set(BASES) else {}
+        per_basis = [counts.get(basis) for basis in BASES]
+        if not all(isinstance(per, dict) for per in per_basis) or per_basis[0].keys() != per_basis[1].keys():
+            raise ValueError(f"counts of a sampled report must map each basis of {BASES} to the same inputs")
+        for count in (count for per in per_basis for count in per.values()):
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"every count must be a non-negative integer, got {count!r}")
 
 
 def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
@@ -241,14 +256,42 @@ def _check_unit_interval(**named: float) -> None:
             raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
 
 
-def fidelity_bounds(fz: float, fx: float) -> tuple[float, float]:
-    """Sandwich on the process fidelity: (fz + fx - 1, min(fz, fx)).
+def _certificate(fz: float, fx: float) -> dict:
+    """The certificate rule: every report field that fz and fx alone decide, keyed by its field name.
 
-    The lower bound is returned unclamped, so it goes negative when the two
-    fidelities are jointly poor; that keeps the bound arithmetic transparent.
+    The sandwich fz + fx - 1 <= F <= min(fz, fx) on the process fidelity, its
+    lower end unclamped, so negative when both fidelities are poor; the lower
+    bound 2(fz + fx) - 3 on the entanglement capability, which certifies that
+    some product input is mapped to an entangled output when (fz + fx)/2 > 3/4
+    strictly; and the violation verdict (fz + fx)/2 > 7/8 strictly, above which
+    the correlation floor exceeds the local-realistic ceiling of 2.
     """
     _check_unit_interval(fz=fz, fx=fx)
-    return fz + fx - 1.0, min(fz, fx)
+    average = (fz + fx) / 2.0
+    return {
+        "lower_bound": fz + fx - 1.0,
+        "upper_bound": min(fz, fx),
+        "capability_bound": 2.0 * fz + 2.0 * fx - 3.0,
+        "capability_certified": average > CAPABILITY_THRESHOLD,
+        "violation_certified": average > VIOLATION_THRESHOLD,
+    }
+
+
+def fidelity_bounds(fz: float, fx: float) -> tuple[float, float]:
+    """The sandwich (lower, upper) on the process fidelity, as ``_certificate`` states it."""
+    rule = _certificate(fz, fx)
+    return rule["lower_bound"], rule["upper_bound"]
+
+
+def capability_bound(fz: float, fx: float) -> tuple[float, bool]:
+    """The lower bound on the entanglement capability and its verdict, as ``_certificate`` states them."""
+    rule = _certificate(fz, fx)
+    return rule["capability_bound"], rule["capability_certified"]
+
+
+def violation_verdict(fz: float, fx: float) -> bool:
+    """Whether fz and fx alone certify a three-party violation, as ``_certificate`` states it."""
+    return _certificate(fz, fx)["violation_certified"]
 
 
 def _ghz_chain_unitary(n_qubits: int) -> np.ndarray:
@@ -272,28 +315,6 @@ def ghz_chain_gate(n_qubits: int) -> GateSpec:
         raise ValueError(f"the entangling chain needs at least 2 qubits, got {n_qubits!r}")
     _check_qubit_count(n_qubits)
     return GateSpec(n_qubits, _ghz_chain_unitary(n_qubits), name="ghz-chain")
-
-
-def capability_bound(fz: float, fx: float) -> tuple[float, bool]:
-    """Lower bound 2(fz + fx) - 3 on the entanglement capability, plus the verdict.
-
-    The verdict is True exactly when (fz + fx)/2 > 3/4 strictly, i.e. when
-    the bound certifies that some product input is mapped to an entangled
-    output.
-    """
-    _check_unit_interval(fz=fz, fx=fx)
-    bound = 2.0 * fz + 2.0 * fx - 3.0
-    return bound, (fz + fx) / 2.0 > CAPABILITY_THRESHOLD
-
-
-def violation_verdict(fz: float, fx: float) -> bool:
-    """True exactly when (fz + fx)/2 > 7/8 strictly.
-
-    Above that line the correlation floor exceeds the local-realistic
-    ceiling of 2, so the two transfer fidelities alone certify a violation.
-    """
-    _check_unit_interval(fz=fz, fx=fx)
-    return (fz + fx) / 2.0 > VIOLATION_THRESHOLD
 
 
 def ghz_floor(f_process: float) -> float:
@@ -351,18 +372,13 @@ def _assemble_report(
     ``estimate_fields`` carries the provenance, standard errors and counts of
     a finite-shot report; an exact report passes none.
     """
-    lower, upper = fidelity_bounds(fz, fx)
-    cap_bound, cap_ok = capability_bound(fz, fx)
+    rule = _certificate(fz, fx)
     expectation, floor = ghz_summary(channel, gate, f_process)
     return FidelityReport(
         fz=fz,
         fx=fx,
         f_process_exact=f_process,
-        lower_bound=lower,
-        upper_bound=upper,
-        capability_bound=cap_bound,
-        capability_certified=cap_ok,
-        violation_certified=violation_verdict(fz, fx),
+        **rule,
         ghz_expectation=expectation,
         ghz_floor=floor,
         **estimate_fields,

@@ -31,8 +31,8 @@ class Tolerances:
     # the two sides of the comparison are independently rounded copies of the
     # same real number; bound_dust absorbs that last-ulp disagreement.
     bound_dust: float = 1e-12
-    # A report's capability bound, fidelity bounds and correlation floor must be
-    # 2(fz + fx) - 3, fz + fx - 1, min(fz, fx) and 8F - 4 of its own fz, fx and F.
+    # A report's bounds and correlation floor must be those that certify._certificate
+    # and ghz_floor derive from its own fz, fx and F.
     capability_arithmetic: float = 1e-12
     # A finite-shot mean must be its pooled success count over the shot total.
     pooled_mean: float = 1e-12

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -247,6 +249,22 @@ def test_a_corrupted_bit_frame_exits_with_the_consistency_code(monkeypatch, tmp_
         assert code == 2, command
         assert doc is None
         assert "routes to chi_00" in capsys.readouterr().err
+
+
+def test_a_basis_check_residual_over_its_bound_exits_with_the_consistency_code(monkeypatch, capsys):
+    # every accepted gate passes, so a residual over the bound is a bug, not bad input
+    monkeypatch.setattr(cli, "orthogonality_residual", lambda gate: 1.0)
+    assert main(["basis-check", "--gate", "ghz-chain", "--qubits", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure: orthogonality residual 1.0 exceeds")
+
+
+@pytest.mark.parametrize("noise", ["depolarizing_global:abc", "depolarizing_global:", "depolarizing_global"])
+def test_a_noise_flag_without_a_numeric_strength_names_the_flag_form(tmp_path, capsys, noise):
+    code, doc = run(tmp_path, "certify", "--gate", "ghz-chain", "--qubits", "2", "--noise", noise)
+    assert (code, doc) == (1, None)
+    assert capsys.readouterr().err == f"error: expected noise as kind:p with p a number, got {noise!r}\n"
 
 
 def test_basis_check_over_capacity(capsys):
@@ -598,6 +616,47 @@ def test_a_document_whose_arithmetic_disagrees_with_its_fidelities_is_rejected(e
         report_from_dict({**doc, **edits})
 
 
+def _chain_3_reports():
+    gate = ghz_chain_gate(3)
+    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.1))
+    return certify(channel, gate), sampled_report(channel, gate, 100, 5)
+
+
+def _document(report, **edits):
+    gate, noise = ghz_chain_gate(3), NoiseSpec("depolarizing_global", 0.1)
+    return {**json.loads(json.dumps(report_to_dict(report, gate, noise))), **edits}
+
+
+# each takes the exact and the sampled report of one channel
+MALFORMED_ESTIMATES = {
+    "negative-std-error": lambda e, s: dataclasses.replace(s, fz_std_error=-1.0),
+    "nan-std-error": lambda e, s: dataclasses.replace(s, fz_std_error=float("nan")),
+    "missing-std-error": lambda e, s: dataclasses.replace(s, fx_std_error=None),
+    "one-basis-of-counts": lambda e, s: dataclasses.replace(s, counts={"z": s.counts["z"]}),
+    "no-counts": lambda e, s: dataclasses.replace(s, counts=None),
+    "negative-count": lambda e, s: dataclasses.replace(s, counts={**s.counts, "x": {**s.counts["x"], 0: -1}}),
+    "fractional-count": lambda e, s: report_from_dict(_document(s, counts={"z": {"0": 1.5}, "x": {"0": 1}})),
+    "bases-on-other-inputs": lambda e, s: dataclasses.replace(s, counts={**s.counts, "x": {8: 1}}),
+    "exact-with-counts": lambda e, s: dataclasses.replace(e, counts=s.counts),
+    "exact-with-a-std-error": lambda e, s: dataclasses.replace(e, fz_std_error=0.0),
+    "mixed-provenance-block": lambda e, s: report_from_dict(
+        _document(e, provenance={"fz": "exact", "fx": "sampled", "f_process_exact": "made up"})
+    ),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_ESTIMATES.values(), ids=MALFORMED_ESTIMATES)
+def test_a_report_whose_estimates_disagree_with_its_provenance_is_rejected(malform):
+    # an exact report has no standard errors or counts; a sampled one has finite,
+    # non-negative standard errors and non-negative integer counts of the same
+    # inputs in both bases; a document's provenance block is the one the writer writes
+    exact, sampled = _chain_3_reports()
+    for report in (exact, sampled):
+        assert report_from_dict(_document(report)) == report
+    with pytest.raises(ValueError):
+        malform(exact, sampled)
+
+
 def test_matrix_pair_serialization_round_trip():
     rng = np.random.default_rng(12)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -858,6 +917,56 @@ def test_every_library_name_the_benchmark_replay_uses_exists():
     assert {owner for owner, _ in used} == {"gc", "cli"}
     missing = sorted(f"{owner}.{name}" for owner, name in used if not hasattr(modules[owner], name))
     assert missing == []
+
+
+def _perfbench_module(name):
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "n_qubits, noise",
+    [(3, NoiseSpec("depolarizing_global", 0.1)), (4, NoiseSpec("random_cptp", rank=7, seed=3))],
+    ids=["chain-3-depolarizing", "chain-4-random_cptp"],
+)
+def test_the_benchmark_replay_of_certify_matches_certify(n_qubits, noise):
+    # perfbench/worker.py rebuilds each report through the exported helpers and
+    # FidelityReport(**fields); a changed signature would break its traced run
+    worker, spans = _perfbench_module("worker"), _perfbench_module("spans")
+    gate = ghz_chain_gate(n_qubits)
+    replayed, _ = worker.replay_certification(spans.Tracer(), gate, noise)
+    untraced = certify(noisy_gate(gate, noise), gate)
+    assert worker.compare_reports(dataclasses.asdict(untraced), dataclasses.asdict(replayed)) == []
+
+
+def test_the_benchmark_replay_of_each_cli_request_kind_matches_the_cli(tmp_path, monkeypatch):
+    worker, spans = _perfbench_module("worker"), _perfbench_module("spans")
+    monkeypatch.chdir(tmp_path)
+    runner = worker.CliRunner([])
+    flags = ["--gate", "ghz-chain", "--qubits", "3", "--noise", "dephasing_per_qubit:0.1"]
+    requests = [
+        {"argv": ["certify", *flags, "--include-chi", "--output", "chi.json"], "expect": "chi", "output": "chi.json"},
+        {"argv": ["sample", *flags, "--shots", "50", "--seed", "4", "--output", "s.json"], "expect": "sampled",
+         "output": "s.json"},
+        {"argv": ["basis-check", "--gate", "ghz-chain", "--qubits", "4"], "expect": "basis", "output": None},
+        {"argv": ["certify", "--gate", "ghz-chain", "--qubits", "9", "--output", "r.json"], "expect": "reject",
+         "output": "r.json"},
+    ]
+    for req in requests:
+        code, out, _ = runner.run(req)
+        if req["expect"] == "reject":
+            observed = {"exit": code}
+        elif req["expect"] == "basis":
+            observed = {"exit": code, "stdout": out}
+        else:
+            assert code == 0
+            observed = json.loads(Path(req["output"]).read_text())
+            observed.pop("chi", None)
+        replayed = runner.replay(req, spans.Tracer())
+        assert runner.compare(req, observed, replayed) == [], req["argv"]
 
 
 def test_the_benchmark_replay_resolves_every_cli_request_shape(tmp_path):
