@@ -21,7 +21,7 @@ table doubles as a numerical check of the inequality.
 depolarizing sweep on the 2-qubit controlled flip
    p      fz      fx   lower       F   upper   capability
 0.00  1.0000  1.0000  1.0000  1.0000  1.0000   certified (bound 1.000)
-0.10  0.9250  0.9250  0.8500  0.9063  0.9250   certified (bound 0.700)
+0.10  0.9250  0.9250  0.8500  0.9062  0.9250   certified (bound 0.700)
 0.20  0.8500  0.8500  0.7000  0.8125  0.8500   certified (bound 0.400)
 0.30  0.7750  0.7750  0.5500  0.7188  0.7750   certified (bound 0.100)
 0.40  0.7000  0.7000  0.4000  0.6250  0.7000   not certified

@@ -10,6 +10,7 @@ chain) a certified violation of the local-realistic correlation ceiling.
 from .channel import (
     Channel,
     ChiMatrix,
+    PauliChannel,
     error_probabilities,
     kraus_to_chi,
     process_fidelity,
@@ -56,6 +57,7 @@ __all__ = [
     "MAX_QUBITS",
     "NOISE_KINDS",
     "NoiseSpec",
+    "PauliChannel",
     "ShotPlan",
     "TOL",
     "Tolerances",

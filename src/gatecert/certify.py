@@ -30,9 +30,11 @@ Every report, exact or sampled, checks the first fact on every run
 (``_checked_transfer``): the 2**(n+1) - 1 diagonal entries it needs, the
 phase-only column and the bit-only row that share chi_00, come from
 ``channel._transfer_entries``, and their sums must match fz and fx from
-the basis-state sweeps, which never read chi.  The phase column goes
-through the Walsh sign table and the fz sweep does not; the fx sweep's
-Hadamard frame is that table and the bit row does not read it.
+the basis-state sweeps, which never read chi.  The phase column is a Walsh
+transform over the input index and the fz sweep takes none.  The fx sweep's
+Hadamard frame (``_input_frame``) is read by the fx sweep alone: the bit row
+never reads it.  Both a Kraus stack and a ``PauliChannel`` follow this rule;
+the second is read from its gate and weights, never from a Kraus stack.
 
 The certificate rule, every report field that fz and fx alone decide, is
 stated once, in ``_certificate``; the report's check, its assembly and the
@@ -48,13 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, _check_pair, _transfer_entries
+from .channel import Channel, PauliChannel, _check_pair, _transfer_entries
 from .core import (
     ConsistencyError,
     GateSpec,
     _check_qubit_count,
     _frozen,
     _kraus_blocks,
+    _pauli_overlaps,
+    _shorter_loop,
     _walsh_signs,
 )
 from .tolerances import TOL
@@ -91,7 +95,8 @@ class FidelityReport:
     correlation fields are populated only for the 3-qubit entangling chain.
     Construction re-derives the bounds, the floor and both verdicts from fz,
     fx and F, so a report, or a document read back, cannot disagree with them,
-    and requires the standard errors and counts that its provenance implies.
+    and requires the standard errors and counts that its provenance implies,
+    an F in [0, 1] and a correlation within the quantum ceiling of 4.
     """
 
     fz: float
@@ -137,6 +142,9 @@ class FidelityReport:
                     f"{self.lower_bound!r} <= {self.f_process_exact!r} "
                     f"<= {self.upper_bound!r} failed"
                 )
+        _check_unit_interval(f_process_exact=self.f_process_exact)
+        if self.ghz_expectation is not None and not abs(self.ghz_expectation) <= 4.0 + TOL.bound_slack:
+            raise ValueError(f"ghz_expectation must be finite and at most 4 in magnitude, got {self.ghz_expectation!r}")
 
     def _check_estimates(self) -> None:
         """An exact report has no standard errors or counts; a sampled one has both, well formed."""
@@ -175,50 +183,30 @@ def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     return _walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)
 
 
-def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np.ndarray, float]:
-    """Per-input success probabilities and their mean, the transfer fidelity for one basis.
+def _stack_probabilities(kraus: np.ndarray, u: np.ndarray, basis: str) -> np.ndarray:
+    """sum_m |<t_n| K_m |psi_n>|**2 for every input n of ``basis``, read from a Kraus stack.
 
-    Input n of the chosen product basis succeeds with probability
-    sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
-    image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
-    columns of one frame matrix.  The amplitudes <t_n| K_m |psi_n> go into one
-    (m x 2**n) array, real when the gate and the stack are (the frames are
-    real), that is squared and summed once into the read-only vector
-    of per-input probabilities, whose mean is the transfer fidelity.  An entry
-    beyond TOL.probability_slack of [0, 1], NaN included, raises ConsistencyError.
-
-    The computational frame is the identity, so there the propagated columns
-    are the Kraus operators themselves, the ideal images are the columns of
-    u00, and one ``einsum`` reads the stack in place.  The complementary sweep
+    The computational frame is the identity, so there one ``einsum`` reads
+    the stack in place against the columns of u00.  The complementary sweep
     takes one of two routes, picked by the Kraus rank m; both do m * 8**n
     multiply-adds and read the stack once:
 
     * m >= 2**(n+2): each amplitude is the inner product of vec(K_m) with
       vec(|t_n><psi_n|), so all of them are one product of the stack, read in
       place as an (m x 4**n) matrix, with the (4**n x 2**n) frame
-      W[(t, s), n] = conj(t_n[t]) psi_n[s].  Building W writes 8**n entries,
-      a cost the other route never pays, while the one product saves that
-      route's per-block temporaries and loop steps.  From this rank on the
-      stack holds at least four times as many entries as W, enough for the
-      saving to outweigh the build at every supported n (the crossover
-      measurements are in BENCH_15.json).
+      W[(t, s), n] = conj(t_n[t]) psi_n[s].  From this rank on the stack
+      holds at least four times as many entries as W.
     * below that rank the stack is taken in the blocks of
       ``core._kraus_blocks``: each block's K_m @ frame comes from one product
       of its vertically stacked operators with the frame, and is contracted
       with the ideal images column by column.
-
-    Both routes build the frame from ``_input_frame``, the Walsh sign table
-    that the bit-only row of ``channel._transfer_entries`` never reads, so a
-    broken frame on either route still fails the fx identity in ``certify``.
     """
-    n = _check_pair(channel, gate)
-    kraus = channel.kraus_ops
     m, d, _ = kraus.shape
     if basis == "z":
-        amplitudes = np.einsum("in,min->mn", gate.u00.conj(), kraus)
+        amplitudes = np.einsum("in,min->mn", u.conj(), kraus)
     else:
-        frame = _input_frame(n, basis)
-        targets = gate.u00 @ frame
+        frame = _input_frame(d.bit_length() - 1, basis)
+        targets = u @ frame
         if m >= 4 * d:
             w_frame = (targets.conj()[:, np.newaxis, :] * frame).reshape(d * d, d)
             amplitudes = kraus.reshape(m, d * d) @ w_frame
@@ -229,7 +217,51 @@ def classical_fidelity(channel: Channel, gate: GateSpec, basis: str) -> tuple[np
                 amplitudes[block] = np.vecdot(targets, outputs, axis=-2)
     weights = np.abs(amplitudes)
     weights **= 2
-    probabilities = np.sum(weights, axis=0)
+    return np.sum(weights, axis=0)
+
+
+def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str) -> np.ndarray:
+    """sum_b w_b |<t_n| P_b |c_n>|**2 for every input n of ``basis``, from a ``PauliChannel``'s gate and weights.
+
+    With t_n = u00 |psi_n> the ideal image and c_n the channel gate's image
+    of |psi_n>, the overlaps come from ``core._pauli_overlaps``: an XOR row
+    gather of the images and the sign rows of the weight support Zs x Xs.
+    The computational frame is the identity, so its images are the gates' columns.
+    """
+    n = channel.n_qubits
+    v = channel.gate.u00
+    if basis != "z":
+        frame = _input_frame(n, basis)
+        targets = u @ frame
+        u, v = targets, targets if v is u else v @ frame
+    signs = _walsh_signs(n)
+    bra, ket, phase_masks, amp_masks, grid = _shorter_loop(u, v, signs, channel.support)
+    overlaps = np.abs(_pauli_overlaps(bra, ket, signs[phase_masks], amp_masks))
+    overlaps **= 2
+    return grid.reshape(-1) @ overlaps
+
+
+def classical_fidelity(channel: Channel | PauliChannel, gate: GateSpec, basis: str) -> tuple[np.ndarray, float]:
+    """Per-input success probabilities and their mean, the transfer fidelity for one basis.
+
+    Input n of the chosen product basis succeeds with probability
+    sum_m |<t_n| K_m |psi_n>|^2, the weight of E(|psi_n><psi_n|) on its ideal
+    image |t_n> = u00 |psi_n>; all inputs are propagated at once as the
+    columns of one frame matrix.  A Kraus stack is read by
+    ``_stack_probabilities``; a ``PauliChannel`` by ``_pauli_probabilities``,
+    which never forms its stack.  The probabilities are one read-only vector,
+    whose mean is the transfer fidelity.  An entry beyond
+    TOL.probability_slack of [0, 1], NaN included, raises ConsistencyError.
+
+    Both routes take the complementary frame from ``_input_frame``, the Walsh
+    sign table that the bit-only row of ``channel._transfer_entries`` never
+    reads, so a broken frame still fails the fx identity in ``certify``.
+    """
+    _check_pair(channel, gate)
+    if isinstance(channel, PauliChannel):
+        probabilities = _pauli_probabilities(channel, gate.u00, basis)
+    else:
+        probabilities = _stack_probabilities(channel.kraus_ops, gate.u00, basis)
     low, high = float(np.min(probabilities)), float(np.max(probabilities))
     if not (low >= -TOL.probability_slack and high <= 1.0 + TOL.probability_slack):
         raise ConsistencyError(f"transfer probabilities outside [0, 1]: min {low!r}, max {high!r}")
@@ -333,7 +365,7 @@ def _is_ghz_chain_3(gate: GateSpec) -> bool:
     return float(np.max(np.abs(gate.u00 - _GHZ_CHAIN_3))) <= TOL.gate_match
 
 
-def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:
+def ghz_summary(channel: Channel | PauliChannel, gate: GateSpec, f_process: float) -> tuple[float | None, float | None]:
     """Measured three-party correlation and its floor, or (None, None).
 
     Populated only when the target is the 3-qubit entangling chain.  The
@@ -347,25 +379,33 @@ def ghz_summary(channel: Channel, gate: GateSpec, f_process: float) -> tuple[flo
         <M_3> = 4 Re sum_m conj(A_m) B_m,
 
     four entries per operator, O(m), with no state formed; the noiseless
-    chain has A = B = 1 and gives 4 exactly.  Quantum mechanics keeps the
-    value within +/- 4 (local realism within +/- 2); anything beyond, NaN
-    included, is a bug and raises ConsistencyError.  The floor follows from
-    the process fidelity.
+    chain has A = B = 1 and gives 4 exactly.  A ``PauliChannel`` has
+    K_b = sqrt(w_b) P_b v, so with a = v[:, 0] + v[:, 4] the sum is
+    sum_b w_b (-1)**popcount(z & 7) conj(a[x]) a[x ^ 7], read from its
+    weights.  Quantum mechanics keeps the value within +/- 4 (local realism
+    within +/- 2); anything beyond, NaN included, is a bug and raises
+    ConsistencyError.  The floor follows from the process fidelity.
     """
     if not _is_ghz_chain_3(gate):
         return None, None
     _check_pair(channel, gate)
-    kraus = channel.kraus_ops
-    # row m holds (A_m, B_m): rows 0 and 7 of K_m, column 0 plus column 4
-    amplitudes = kraus[:, ::7, 0] + kraus[:, ::7, 4]
-    value = 4.0 * float(np.vdot(amplitudes[:, 0], amplitudes[:, 1]).real)
+    if isinstance(channel, PauliChannel):
+        phase_masks, amp_masks, grid = channel.support
+        column = channel.gate.u00[:, 0] + channel.gate.u00[:, 4]
+        products = column[amp_masks].conj() * column[amp_masks ^ 7]
+        value = 4.0 * float((_walsh_signs(3)[phase_masks, 7] @ grid @ products).real)
+    else:
+        kraus = channel.kraus_ops
+        # row m holds (A_m, B_m): rows 0 and 7 of K_m, column 0 plus column 4
+        amplitudes = kraus[:, ::7, 0] + kraus[:, ::7, 4]
+        value = 4.0 * float(np.vdot(amplitudes[:, 0], amplitudes[:, 1]).real)
     if not abs(value) <= 4.0 + TOL.bound_slack:
         raise ConsistencyError(f"correlation {value!r} exceeds the quantum ceiling of 4")
     return value, ghz_floor(f_process)
 
 
 def _assemble_report(
-    channel: Channel, gate: GateSpec, f_process: float, fz: float, fx: float, **estimate_fields
+    channel: Channel | PauliChannel, gate: GateSpec, f_process: float, fz: float, fx: float, **estimate_fields
 ) -> FidelityReport:
     """Bounds, capability, violation verdict and GHZ summary for one (fz, fx) pair.
 
@@ -385,7 +425,7 @@ def _assemble_report(
     )
 
 
-def _checked_transfer(channel: Channel, gate: GateSpec) -> tuple[float, dict[str, tuple[np.ndarray, float]]]:
+def _checked_transfer(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[float, dict[str, tuple[np.ndarray, float]]]:
     """The process fidelity and both sweeps, each basis keyed to its (probabilities, mean), cross-checked.
 
     Computes the 2**(n+1) - 1 process-matrix entries the certificate reads
@@ -401,7 +441,7 @@ def _checked_transfer(channel: Channel, gate: GateSpec) -> tuple[float, dict[str
     return float(phase[0]), sweeps
 
 
-def certify(channel: Channel, gate: GateSpec) -> FidelityReport:
+def certify(channel: Channel | PauliChannel, gate: GateSpec) -> FidelityReport:
     """Run the full two-basis certification of a channel against its target gate.
 
     Takes the process fidelity and both exact transfer fidelities from

@@ -1,48 +1,43 @@
-"""Quantum channels in Kraus form and their gate-relative process matrices.
+"""Quantum channels and their gate-relative process matrices.
 
 A channel E acts as E(rho) = sum_m K_m rho K_m^dag with
-sum_m K_m^dag K_m = I.  The package never forms a density matrix rho:
-everything it reports is a contraction of the Kraus stack itself.
+sum_m K_m^dag K_m = I.  ``Channel`` holds the Kraus stack; ``PauliChannel``
+holds a gate followed by Pauli noise as (gate, w), E(rho) =
+sum_b w_b P_b u00 rho u00^dag P_b, and forms its stack only when it is read.
+The package never forms a density matrix rho.
 
-Expanding each Kraus operator in the orthogonal
-gate-relative error basis U_a = u00 Z**z X**x, K_m = sum_a c_{m,a} U_a with
+Expanding each Kraus operator in the orthogonal gate-relative error basis
+U_a = u00 Z**z X**x, K_m = sum_a c_{m,a} U_a with
 c_{m,a} = Tr{U_a^dag K_m} / 2**n, gives the process matrix
-chi_{a,b} = sum_m c_{m,a} c_{m,b}^*; then
-E(rho) = sum_{a,b} chi_{a,b} U_a rho U_b^dag.  The entry chi_{0,0} is the
-process fidelity of the channel with respect to the target gate.
-
-The coefficients never need the dense basis.  With M_m = u00^dag K_m and the
-flat index a = (z << n) + x,
+chi_{a,b} = sum_m c_{m,a} c_{m,b}^*; chi_{0,0} is the process fidelity.
+With M_m = u00^dag K_m and the flat index a = (z << n) + x,
 
     c_{m,a} = 2**-n sum_s (-1)**popcount(z & s) M_m[s, s ^ x],
 
-a Walsh-Hadamard transform over s of the gathered G_m[s, x] = M_m[s, s ^ x]
-(the tensorized Pauli decomposition of Hantzko, Binkowski and Gupta,
-arXiv:2310.13421).  All coefficients cost O(m 8**n) instead of O(m 16**n).
-
-The sign table S is symmetric and S S = 2**n I exactly in float64 (entries
-+-1, integer sums), so S inverts the transform exactly and no run rebuilds G
-to check it; the tests check the identity.  A wrong sign or normalization
-still breaks Parseval: sum_a |c_{m,a}|**2 = Tr(K_m^dag K_m) / 2**n, so the
-squared Frobenius norm of the coefficient matrix, which is the trace of chi,
-must be Tr(sum_m K_m^dag K_m) / 2**n = 1.  ``ChiMatrix`` holds that matrix
-and checks the trace, and a ``kraus_to_chi`` result that fails it is a bug,
-reported as ConsistencyError.  ``error_probabilities`` hands out the diagonal
-of chi, the squared row norms of the coefficient matrix, keyed by plain
-(phase_mask, amp_mask) = (z, x) tuples.
+a Walsh-Hadamard transform over s of the gathered M_m[s, s ^ x] (Hantzko,
+Binkowski and Gupta, arXiv:2310.13421), O(m 8**n) for all coefficients.  The
+sign table S is symmetric with S S = 2**n I exactly, and a wrong sign or
+normalization breaks Parseval: the squared Frobenius norm of the coefficient
+matrix, the trace of chi, must be 1.  ``ChiMatrix`` holds that matrix and
+checks the trace; ``kraus_to_chi`` reads the Kraus stack, so for a
+``PauliChannel`` it forms it.
 
 Certification reads only the phase-only column chi_{(z,0),(z,0)} and the
-bit-only row chi_{(0,x),(0,x)} of that diagonal, 2**(n+1) - 1 entries that
-share chi_{0,0}.  ``_transfer_entries`` computes just those, the column in
-O(m 4**n) through the sign table and the row in O(m 8**n) without it, and
-never transforms the whole stack; it checks that both give the same
-chi_{0,0}, that every entry lies in [0, 1] and that each partial sum is at
-most 1.
+bit-only row chi_{(0,x),(0,x)}, 2**(n+1) - 1 entries that share chi_00
+(``_transfer_entries``).  A Kraus stack gives them in O(m 4**n) and
+O(m 8**n).  A ``PauliChannel`` gives them from (u00, w) alone: chi is not
+diag(w), since the noise acts after the gate and the basis puts the Pauli
+before it, chi_aa = sum_b w_b |Tr(P_a u00^dag P_b u00)|**2 / 4**n (a
+permutation of w for a Clifford gate, dense for a Haar one).  Both routes
+check that the two values of chi_00 agree, that every entry lies in [0, 1]
+and that each partial sum is at most 1.  Neither reads the Hadamard frame
+of the complementary sweep: that frame is the fx sweep's alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +49,17 @@ from .core import (
     _frozen,
     _identity_residual,
     _kraus_blocks,
+    _pauli_overlaps,
+    _pauli_products,
     _readonly,
+    _shorter_loop,
     _walsh_signs,
 )
 from .tolerances import TOL
 
 __all__ = [
     "Channel",
+    "PauliChannel",
     "ChiMatrix",
     "kraus_to_chi",
     "process_fidelity",
@@ -128,6 +127,64 @@ class Channel:
         return self.kraus_ops.shape[0]
 
 
+def _pauli_mixture(weights: np.ndarray, n_qubits: int, right) -> np.ndarray:
+    """sqrt(w_a) Z**z X**x @ right for each flat mask a = (z << n) + x whose weight w_a is not zero."""
+    flat = np.flatnonzero(weights)
+    return _pauli_products(flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right)
+
+
+@dataclass(frozen=True)
+class PauliChannel:
+    """A gate followed by Pauli noise, E(rho) = sum_b w_b P_b u00 rho u00^dag P_b, held as (gate, w).
+
+    ``weights`` is indexed by the flat mask b = (z << n) + x of P_b = Z**z X**x.
+    Construction checks it in O(4**n): finite, non-negative and summing to 1
+    within TOL.kraus_trace_preserving, which makes the channel trace
+    preserving for the unitary ``gate.u00``.  ``rank`` counts the nonzero
+    weights.  The Kraus stack sqrt(w_b) P_b u00 of those weights is formed
+    the first time ``kraus_ops`` is read, by the row gather of
+    ``core._pauli_products``, and kept; ``certify`` and ``sample`` never read it.
+    """
+
+    gate: GateSpec
+    weights: np.ndarray
+
+    def __post_init__(self):
+        weights = _readonly(self.weights)
+        q = 1 << (2 * self.gate.n_qubits)
+        if weights.shape != (q,) or weights.dtype != np.float64:
+            raise ValueError(f"expected {q} real Pauli weights, got shape {weights.shape} of {weights.dtype}")
+        low = float(weights.min())
+        if not low >= 0.0:
+            raise ValueError(f"Pauli weights must be non-negative numbers, got a minimum of {low!r}")
+        # an infinite weight makes the sum infinite
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= TOL.kraus_trace_preserving:
+            raise ValueError(f"channel is not trace preserving: Pauli weights sum to {total!r}")
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.gate.n_qubits
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.weights))
+
+    @cached_property
+    def kraus_ops(self) -> np.ndarray:
+        return _frozen(_pauli_mixture(self.weights, self.n_qubits, self.gate.u00))
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Zs, Xs, W): the phase and bit masks that carry weight, and W[i, j] = w of (Zs[i], Xs[j])."""
+        n = self.n_qubits
+        grid = self.weights.reshape(1 << n, 1 << n)
+        phase_masks = np.flatnonzero(grid.any(axis=1))
+        amp_masks = np.flatnonzero(grid.any(axis=0))
+        return phase_masks, amp_masks, grid[phase_masks[:, np.newaxis], amp_masks]
+
+
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix chi = C C^dag of a channel relative to a target gate, held as C.
@@ -161,7 +218,7 @@ class ChiMatrix:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _check_pair(channel: Channel, gate: GateSpec) -> int:
+def _check_pair(channel: Channel | PauliChannel, gate: GateSpec) -> int:
     """The common qubit count of ``channel`` and ``gate``, or ValueError."""
     if channel.n_qubits != gate.n_qubits:
         raise ValueError(
@@ -170,7 +227,7 @@ def _check_pair(channel: Channel, gate: GateSpec) -> int:
     return gate.n_qubits
 
 
-def _error_coefficients(channel: Channel, gate: GateSpec) -> np.ndarray:
+def _error_coefficients(channel: Channel | PauliChannel, gate: GateSpec) -> np.ndarray:
     """C, the 4**n x m coefficient matrix: row a, column m holds c_{m,a}.
 
     The qubit counts are checked first.  The blocks of ``core._kraus_blocks``
@@ -211,41 +268,22 @@ def _bit_frame_index(d: int, rows: int) -> np.ndarray:
     return np.arange(rows * d)[:, np.newaxis] ^ np.arange(d)
 
 
-def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The phase-only column chi_{(z,0)} and the bit-only row chi_{(0,x)}: the 2**(n+1) - 1 entries certify reads.
+def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows sum_m |Tr{(u00 Z**z)^dag K_m}|**2 and sum_m |Tr{(u00 X**x)^dag K_m}|**2 of a Kraus stack, unnormalized.
 
-    Phase column: Tr{(u00 Z**z)^dag K_m} = sum_s S[z, s] diag(u00^dag K_m)[s]
-    with S the Walsh sign table, and diag(u00^dag K_m)[s] =
-    sum_t conj(u00[t, s]) K_m[t, s] is one O(m 4**n) contraction of the stack
-    in place, so the m x 2**n diagonals are multiplied once by S.
+    Phase column: Tr{(u00 Z**z)^dag K_m} = sum_s S[z, s] diag(u00^dag K_m)[s],
+    one O(m 4**n) contraction of the stack in place and one product with S.
 
     Bit row, read without the Walsh table: Tr{(u00 X**x)^dag K_m} is the inner
-    product of the flattened K_m with the frame vec(conj(u00 X**x)), an XOR
-    gather of conj(u00)'s columns.  The rows t of the stack are walked in the
-    slices of ``core._kraus_blocks(2**n, 2**n)``: a slice's frames hold as
-    many entries as that many operators, so each frame chunk stays within
-    64 KiB, and each slice adds one product of the (m x 4**n) stack view's
-    columns with its chunk.  The frames hold 8**n entries whatever m is, so
-    a stack of fewer than 2**(n-1) operators spread over several chunks
-    takes the other order instead: it forms u00^dag K_m, as many operators
-    at a time as a frame chunk has rows, and sums the XOR diagonals
-    Tr{(u00 X**x)^dag K_m} = sum_s (u00^dag K_m)[s ^ x, s].  Its own range
-    loop walks the operators, not the ``_kraus_blocks(m, 2**n)`` slices of
-    the transfer sweeps, so a slicing bug cannot drop the same operators on
-    both sides of the fx identity.
-
-    The column and the row both hold chi_00.  Every entry must lie in
-    [0, 1], the two values of chi_00 must agree within ``TOL.chi_diagonal``,
-    and each of the two partial sums must be at most 1.  A validated channel
-    fails these checks only through a bug, NaN included, so they raise
-    ConsistencyError.  No array of the stack's size is made: the largest are
-    a few m x 2**n arrays and one 64 KiB chunk.
+    product of vec(K_m) with the XOR frame vec(conj(u00 X**x)), walked in the
+    row slices of ``core._kraus_blocks(2**n, 2**n)`` so each frame chunk stays
+    within 64 KiB.  A stack of fewer than 2**(n-1) operators spread over
+    several chunks instead forms u00^dag K_m in its own range loop, so a
+    slicing bug cannot drop the same operators on both sides of the fx
+    identity, and sums its XOR diagonals.  No array of the stack's size is made.
     """
-    n = _check_pair(channel, gate)
-    d = 1 << n
-    u = gate.u00
-    kraus = channel.kraus_ops
-    m = kraus.shape[0]
+    m, d, _ = kraus.shape
+    n = d.bit_length() - 1
     dtype = np.result_type(u, kraus)
 
     # Row 0 collects sum_m |c|^2 for the phase column, row 1 for the bit row.
@@ -279,8 +317,66 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
             # The spent phase coefficients, also m x 2**n, hold each product.
             bit_coeffs += np.matmul(flat[:, lo:hi], frame, out=phase_coeffs)
     np.vecdot(bit_coeffs, bit_coeffs, axis=0, out=weights[1])
+    return weights.real
 
-    entries = weights.real / (d * d)
+
+def _bit_traces(u: np.ndarray, v: np.ndarray, signs: np.ndarray, amp_masks: np.ndarray) -> np.ndarray:
+    """Tr{X**x' u^dag Z**z X**x v} = sum_r signs[z, r] sum_s conj(u[r, s ^ x']) v[r ^ x, s]: an array [(z, x), x'].
+
+    The XOR frame conj(u[r, s ^ x']) of ``_bit_frame_index`` is contracted
+    over s with the rows of v gathered for each x, one 2**n x 2**n product
+    per row r, and the sign rows then sum over r.  The frame holds 8**n
+    entries, 2 MB for a real gate at n=6.
+    """
+    d = len(u)
+    frame = u.conj()[:, _bit_frame_index(d, 1)]
+    gathered = v[np.arange(d)[:, np.newaxis] ^ amp_masks] @ frame
+    return (signs @ gathered.reshape(d, -1)).reshape(-1, d)
+
+
+def _pauli_entries(channel: PauliChannel, gate: GateSpec) -> np.ndarray:
+    """The rows of ``_stack_entries`` for a ``PauliChannel``, from its gate and weights alone.
+
+    With u = gate.u00, v = channel.gate.u00 and M_b = u^dag P_b v, each row
+    is sum_b w_b |Tr{P_a M_b}|**2 over the support Zs x Xs of w:
+
+    * phase column, a = (z', 0): Tr{Z**z' M_b} = sum_s S[z', s] diag(M_b)[s],
+      the Walsh transform of the diagonals that ``core._pauli_overlaps``
+      gives for the columns of u and v;
+    * bit row, a = (0, x'): Tr{X**x' M_b} = sum_s M_b[s ^ x', s], the XOR
+      diagonal sums of ``_bit_traces``, which read no Walsh table over s.
+
+    Both loop over Xs, or over Zs where ``core._shorter_loop`` moves the loop
+    there: the phase column costs |Zs| |Xs| 4**n and the bit row that plus
+    8**n per pass of the loop.  Nothing of the Kraus stack's size is made.
+    """
+    signs = _walsh_signs(gate.n_qubits)
+    u, v, phase_masks, amp_masks, grid = _shorter_loop(gate.u00, channel.gate.u00, signs, channel.support)
+    weights = grid.reshape(-1)
+    phase = np.abs(_pauli_overlaps(u, v, signs[phase_masks], amp_masks) @ signs)
+    bit = np.abs(_bit_traces(u, v, signs[phase_masks], amp_masks))
+    phase **= 2
+    bit **= 2
+    return np.array([weights @ phase, weights @ bit])
+
+
+def _transfer_entries(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-only column chi_{(z,0)} and the bit-only row chi_{(0,x)}: the 2**(n+1) - 1 entries certify reads.
+
+    A Kraus stack goes through ``_stack_entries`` and a ``PauliChannel``
+    through ``_pauli_entries``, which never forms its stack.  The column and
+    the row both hold chi_00.  Every entry must lie in [0, 1], the two values
+    of chi_00 must agree within ``TOL.chi_diagonal``, and each of the two
+    partial sums must be at most 1.  A validated channel fails these checks
+    only through a bug, NaN included, so they raise ConsistencyError.
+    """
+    n = _check_pair(channel, gate)
+    d = 1 << n
+    if isinstance(channel, PauliChannel):
+        entries = _pauli_entries(channel, gate)
+    else:
+        entries = _stack_entries(channel.kraus_ops, gate.u00)
+    entries /= d * d
     phase, bit = entries
     low, high = float(entries.min()), float(entries.max())
     if not (low >= -TOL.chi_diagonal and high <= 1.0 + TOL.chi_diagonal):
@@ -298,7 +394,7 @@ def _transfer_entries(channel: Channel, gate: GateSpec) -> tuple[np.ndarray, np.
     return phase, bit
 
 
-def kraus_to_chi(channel: Channel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
+def kraus_to_chi(channel: Channel | PauliChannel, gate: GateSpec, basis: ErrorBasis | None = None) -> ChiMatrix:
     """Decompose a channel over the gate-relative error basis.
 
     Computes the expansion coefficients c_{m,a} = Tr{U_a^dag K_m} / 2**n by

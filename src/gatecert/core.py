@@ -234,6 +234,38 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=Non
     return stack
 
 
+def _shorter_loop(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, support) -> tuple:
+    """(bra, ket, Zs, Xs, W) for a sum over the support Zs x Xs of Pauli weights W, its loop over Xs made short.
+
+    The sums gather 4**n rows for each x in Xs.  When Zs is the smaller and
+    those gathers fill a Kraus block (``_KRAUS_BLOCK_BYTES``), the Walsh table
+    S moves the loop to the other side: S Z**z X**x S = +-2**n Z**x X**z, so
+    <bra| Z**z X**x |ket> = +-<S bra| Z**x X**z |S ket> / 2**n, and with S bra,
+    S ket, Zs and Xs traded and W transposed and divided by 4**n, every
+    weighted squared magnitude is unchanged.  Below a block, the two extra
+    products cost more than the gathers they save.
+    """
+    phase_masks, amp_masks, weights = support
+    d = len(bra)
+    gathered_bytes = len(amp_masks) * d * d * np.dtype(np.complex128).itemsize
+    if len(phase_masks) >= len(amp_masks) or gathered_bytes < _KRAUS_BLOCK_BYTES:
+        return bra, ket, phase_masks, amp_masks, weights
+    return signs @ bra, signs @ ket, amp_masks, phase_masks, weights.T / (d * d)
+
+
+def _pauli_overlaps(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, amp_masks: np.ndarray) -> np.ndarray:
+    """<bra_n| Z**z X**x |ket_n> for every column n, row z of ``signs`` and x of ``amp_masks``: an array [(z, x), n].
+
+    With (Z**z X**x)[r, r ^ x] = signs[z, r], each overlap is
+    sum_r signs[z, r] conj(bra[r, n]) ket[r ^ x, n]: one XOR row gather of
+    ``ket`` for all x, times conj(bra), and one product with the sign rows.
+    """
+    d = len(bra)
+    products = ket[np.arange(d)[:, np.newaxis] ^ amp_masks].astype(np.result_type(bra, ket), copy=False)
+    products *= bra.conj()[:, np.newaxis]
+    return (signs @ products.reshape(d, -1)).reshape(-1, products.shape[-1])
+
+
 def build_error_basis(gate: GateSpec) -> ErrorBasis:
     """Stack all 4**n gate-relative error operators u00 @ Pi(i, j).
 

@@ -1,22 +1,22 @@
 """Standard noise families, random channels, and composition with a target gate.
 
-Kraus sets, for noise strength p on n qubits:
+For noise strength p on n qubits:
 
-* depolarizing_global: rho -> (1 - p) rho + p I / 2**n, realized by the
-  uniform mixture of all 4**n phase/bit error products.  The two operators
-  proportional to the identity are merged into one, so the set has exactly
-  4**n elements with weights (1 - p + p/4**n) for the identity and p/4**n
-  for everything else.
+* depolarizing_global: rho -> (1 - p) rho + p I / 2**n, the uniform mixture
+  of all 4**n phase/bit error products, with weights (1 - p + p/4**n) for
+  the identity and p/4**n for everything else.
 * dephasing_per_qubit: each qubit independently suffers a phase flip with
-  probability p; the 2**n Kraus operators are the Z-type products with
-  weights (1-p)**(n-k) p**k for k flipped qubits.
+  probability p; the Z-type products carry weights (1-p)**(n-k) p**k for k
+  flipped qubits.
 * bitflip_per_qubit: same construction with X in place of Z.
 * random_cptp: a seeded random channel of chosen Kraus rank, drawn by
   orthonormalizing the columns of a complex Ginibre matrix so the stacked
   Kraus blocks form an exact isometry.
 
-Operators with exactly zero weight are dropped, so p = 0 always yields the
-single-operator identity channel.
+``noisy_gate`` holds the three Pauli families as a ``PauliChannel``: the
+gate and the 4**n weights, which ``certify`` and ``sample`` read directly.
+Their Kraus stack, formed only when read, has one operator per nonzero
+weight, so p = 0 yields the single-operator identity channel.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel
-from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks, _pauli_products
+from .channel import Channel, PauliChannel, _pauli_mixture
+from .core import GateSpec, _check_qubit_count, _frozen, _kraus_blocks
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "random_cptp", "noisy_gate"]
 
@@ -58,12 +58,6 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
-def _pauli_mixture(weights: np.ndarray, n_qubits: int, right) -> np.ndarray:
-    """sqrt(w_a) Z**z X**x @ right for each flat mask a = (z << n) + x whose weight w_a is not zero."""
-    flat = np.flatnonzero(weights)
-    return _pauli_products(flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right)
-
-
 def _random_isometry(n_qubits: int, rank: int, seed: int, right) -> np.ndarray:
     d = 1 << n_qubits
     if not 1 <= rank <= d * d:
@@ -80,13 +74,8 @@ def _random_isometry(n_qubits: int, rank: int, seed: int, right) -> np.ndarray:
     return isometry.reshape(rank, d, d)
 
 
-def _noise_kraus(
-    kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0, right=None
-) -> np.ndarray:
-    """A fresh, frozen Kraus stack of one noise family (each N_k @ ``right`` if given), not yet validated."""
-    _check_qubit_count(n_qubits)
-    if kind == "random_cptp":
-        return _frozen(_random_isometry(n_qubits, rank, seed, right))
+def _pauli_weights(kind: str, n_qubits: int, strength: float) -> np.ndarray:
+    """The 4**n weights of a Pauli family over the flat masks (z << n) + x."""
     count = 1 << (2 * n_qubits)
     if kind == "depolarizing_global":
         weights = np.full(count, strength / count)
@@ -100,7 +89,17 @@ def _noise_kraus(
         ]
     else:
         raise ValueError(f"unknown noise kind {kind!r}")  # unreachable after NoiseSpec validation
-    return _frozen(_pauli_mixture(weights, n_qubits, right))
+    return weights
+
+
+def _noise_kraus(
+    kind: str, n_qubits: int, strength: float = 0.0, rank: int = 1, seed: int = 0, right=None
+) -> np.ndarray:
+    """A fresh, frozen Kraus stack of one noise family (each N_k @ ``right`` if given), not yet validated."""
+    _check_qubit_count(n_qubits)
+    if kind == "random_cptp":
+        return _frozen(_random_isometry(n_qubits, rank, seed, right))
+    return _frozen(_pauli_mixture(_pauli_weights(kind, n_qubits, strength), n_qubits, right))
 
 
 def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
@@ -114,19 +113,18 @@ def random_cptp(n_qubits: int, rank: int, seed: int) -> Channel:
     return Channel(n_qubits, _noise_kraus("random_cptp", n_qubits, rank=rank, seed=seed))
 
 
-def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel:
+def noisy_gate(gate: GateSpec, spec: NoiseSpec) -> Channel | PauliChannel:
     """The target gate followed by noise: Kraus operators N_k @ u00.
 
-    The stack is built once, with u00 on its right (a row gather for the Pauli
-    families, an in-place blocked product for a random isometry), and the
-    returned Channel takes it over without a copy.  Only that Channel is
-    validated: when sum N^dag N = I and u00 is unitary (which GateSpec checks),
-    sum u00^dag N^dag N u00 = u00^dag I u00 = I, so the completeness check of
-    the result covers the noise stack too.
-
-    The Pauli products are real, so a Pauli family keeps u00's dtype: a real
-    gate gives a float64 stack, half the bytes of a complex one.  A random
-    isometry is complex whatever the gate.
+    A Pauli family gives a ``PauliChannel`` of the gate and the family's 4**n
+    weights; its Kraus stack is formed only if ``kraus_ops`` is read.  A
+    random isometry gives a ``Channel`` whose stack is built once, with u00
+    multiplied on its right in place, block by block.  Only that Channel is
+    validated: when sum N^dag N = I and u00 is unitary (which GateSpec
+    checks), sum u00^dag N^dag N u00 = I, so its completeness check covers
+    the noise too.
     """
-    stack = _noise_kraus(spec.kind, gate.n_qubits, spec.strength, spec.rank, spec.seed, gate.u00)
+    if spec.kind != "random_cptp":
+        return PauliChannel(gate, _pauli_weights(spec.kind, gate.n_qubits, spec.strength))
+    stack = _noise_kraus(spec.kind, gate.n_qubits, rank=spec.rank, seed=spec.seed, right=gate.u00)
     return Channel(gate.n_qubits, stack)

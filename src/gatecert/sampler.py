@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, PauliChannel
 from .certify import BASES, FidelityReport, _assemble_report, _checked_transfer, classical_fidelity
 from .core import GateSpec
 from .tolerances import TOL
@@ -81,7 +81,7 @@ def _draw(probabilities: np.ndarray, plan: ShotPlan) -> FidelityEstimate:
     return FidelityEstimate(pooled, std_error, total, counts)
 
 
-def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> FidelityEstimate:
+def sample_transfer(channel: Channel | PauliChannel, gate: GateSpec, plan: ShotPlan) -> FidelityEstimate:
     """Simulate M shots per basis input and pool them into one estimate.
 
     All inputs are drawn in one call, in index order, from a single generator
@@ -92,7 +92,7 @@ def sample_transfer(channel: Channel, gate: GateSpec, plan: ShotPlan) -> Fidelit
     return _draw(probabilities, plan)
 
 
-def sampled_report(channel: Channel, gate: GateSpec, shots_per_input: int, seed: int) -> FidelityReport:
+def sampled_report(channel: Channel | PauliChannel, gate: GateSpec, shots_per_input: int, seed: int) -> FidelityReport:
     """Certification report with finite-shot fz and fx instead of exact values.
 
     The exact pass is ``certify``'s own (``certify._checked_transfer``), with

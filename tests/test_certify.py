@@ -398,8 +398,9 @@ def test_diagonal_identity_rejects_nan_fidelities(fz, fx):
 
 
 def _full_rank_depolarized_haar_gate():
+    """A full-rank Kraus stack (256 operators at n=4), held as a dense Channel so the stack routes read it."""
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(8), 16))
-    return noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate
+    return Channel(4, noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)).kraus_ops), gate
 
 
 # Kraus ranks one below, at and one above the block length (16 operators at

@@ -313,7 +313,7 @@ def test_both_bit_row_orders_match_the_dense_oracle(rank):
 def test_a_corrupted_bit_frame_fails_the_two_route_chi_00_check(monkeypatch, n_qubits):
     # n = 5 walks the stack rows in eight frame chunks, n = 2 in one
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(80 + n_qubits), 2**n_qubits))
-    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    channel = Channel(n_qubits, noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)).kraus_ops)
     _transfer_entries(channel, gate)
     swap_in_the_x_1_bit_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="routes to chi_00"):
@@ -325,7 +325,7 @@ def test_transfer_entries_stay_at_a_few_coefficient_arrays():
     # their Walsh coefficients and the bit coefficients are m x 2**n arrays of
     # 512 KiB, one of which is reused, and each frame chunk is 64 KiB
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(76), 32))
-    channel = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    channel = Channel(5, noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)).kraus_ops)
     coefficient_bytes = channel.rank * 32 * 16
     _, peak = allocation_peak(lambda: _transfer_entries(channel, gate))
     assert peak <= 3 * coefficient_bytes, peak / coefficient_bytes

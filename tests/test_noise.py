@@ -207,39 +207,51 @@ def test_depolarizing_commutes_with_the_gate():
 
 
 def test_noisy_gate_holds_one_kraus_stack():
-    # the stack is gathered from the rows of +/- u00 and scaled in place, and
-    # the returned Channel takes that same array over without a copy
+    # noisy_gate forms no stack for a Pauli family; the first read of kraus_ops
+    # gathers it from the rows of +/- u00, scales it in place and keeps that array
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(5), 16))
     channel, peak = allocation_peak(lambda: noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)))
-    assert channel.rank == 256
-    assert peak <= 1.1 * channel.kraus_ops.nbytes
+    stack_bytes = 256 * 16 * 16 * 16
+    assert peak <= 0.01 * stack_bytes
+    stack, peak = allocation_peak(lambda: channel.kraus_ops)
+    assert channel.rank == 256 and stack.nbytes == stack_bytes
+    assert peak <= 1.1 * stack.nbytes
+    assert channel.kraus_ops is stack
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_noisy_gate_hands_its_stack_to_the_channel(monkeypatch, kind):
+    # a random isometry is built at once and taken over by the Channel; a
+    # Pauli family's stack is built on the first read of kraus_ops, once
+    import gatecert.channel as channel_module
     import gatecert.noise as noise_module
 
-    build = noise_module._noise_kraus
+    module, name = (noise_module, "_noise_kraus") if kind == "random_cptp" else (channel_module, "_pauli_mixture")
+    build = getattr(module, name)
     built = []
 
     def recorded(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(noise_module, "_noise_kraus", recorded)
+    monkeypatch.setattr(module, name, recorded)
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(7), 8))
     channel = noisy_gate(gate, NoiseSpec(kind, 0.2, rank=5, seed=3))
+    assert len(built) == (1 if kind == "random_cptp" else 0)
     assert channel.kraus_ops is built[0]
+    assert channel.kraus_ops is built[0] and len(built) == 1
     assert not channel.kraus_ops.flags.writeable
 
 
 def test_noisy_gate_validates_only_the_returned_channel(monkeypatch):
     # sum u^dag N^dag N u = u^dag (sum N^dag N) u, so one completeness check on
-    # the product also catches a noise stack that is not trace preserving
+    # the product also catches a noise stack that is not trace preserving; a
+    # Pauli family is checked through its weights and runs no completeness check
     import gatecert.channel as channel_module
     import gatecert.noise as noise_module
 
     build = noise_module._noise_kraus
+    weights = noise_module._pauli_weights
     residual = channel_module._completeness_residual
     checks = []
 
@@ -249,12 +261,15 @@ def test_noisy_gate_validates_only_the_returned_channel(monkeypatch):
 
     monkeypatch.setattr(channel_module, "_completeness_residual", counted)
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(6), 8))
-    noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
-    assert checks == [(64, 8, 8)]
+    noisy_gate(gate, NoiseSpec("random_cptp", rank=5, seed=1))
+    noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)).kraus_ops
+    assert checks == [(5, 8, 8)]
 
     monkeypatch.setattr(noise_module, "_noise_kraus", lambda *args, **kwargs: 1.01 * build(*args, **kwargs))
-    with pytest.raises(ValueError, match="trace preserving"):
-        noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2))
+    monkeypatch.setattr(noise_module, "_pauli_weights", lambda *args: 1.01 * weights(*args))
+    for kind in NOISE_KINDS:
+        with pytest.raises(ValueError, match="trace preserving"):
+            noisy_gate(gate, NoiseSpec(kind, 0.2, rank=5, seed=1))
     with pytest.raises(ValueError, match="trace preserving"):
         noise_channel(NoiseSpec("dephasing_per_qubit", 0.2), 3)
     with pytest.raises(ValueError, match="trace preserving"):
