@@ -35,6 +35,9 @@ transform over the input index and the fz sweep takes none.  The fx sweep's
 Hadamard frame (``_input_frame``) is read by the fx sweep alone: the bit row
 never reads it.  Both a Kraus stack and a ``PauliChannel`` follow this rule;
 the second is read from its gate and weights, never from a Kraus stack.
+For it the fz sweep and the phase column read the same overlaps
+<u_s| P_b |v_s>, so the sweep computes them by code of its own, not through
+the ``core`` helpers that the phase column calls.
 
 The certificate rule, every report field that fz and fx alone decide, is
 stated once, in ``_certificate``; the report's check, its assembly and the
@@ -52,6 +55,7 @@ import numpy as np
 
 from .channel import Channel, PauliChannel, _check_pair, _transfer_entries
 from .core import (
+    _KRAUS_BLOCK_BYTES,
     ConsistencyError,
     GateSpec,
     _check_qubit_count,
@@ -224,17 +228,36 @@ def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str) -> np
     """sum_b w_b |<t_n| P_b |c_n>|**2 for every input n of ``basis``, from a ``PauliChannel``'s gate and weights.
 
     With t_n = u00 |psi_n> the ideal image and c_n the channel gate's image
-    of |psi_n>, the overlaps come from ``core._pauli_overlaps``: an XOR row
-    gather of the images and the sign rows of the weight support Zs x Xs.
-    The computational frame is the identity, so its images are the gates' columns.
+    of |psi_n>, each overlap is <t_n| Z**z X**x |c_n> over the weight
+    support Zs x Xs.
+
+    The computational frame is the identity, so its images are the gates'
+    columns, and the phase column of ``channel._transfer_entries`` is the
+    Walsh transform of these very overlaps.  The fz sweep therefore computes
+    them by code of its own, gathering the bra's rows, and never calls
+    ``core._pauli_overlaps`` or ``core._shorter_loop``, which the phase column
+    reads; so the fz identity compares two codes rather than restating
+    Parseval.  The complementary sweep takes those two: an XOR row gather of
+    the ket images and the sign rows of the support.
     """
     n = channel.n_qubits
     v = channel.gate.u00
-    if basis != "z":
-        frame = _input_frame(n, basis)
-        targets = u @ frame
-        u, v = targets, targets if v is u else v @ frame
     signs = _walsh_signs(n)
+    if basis == "z":
+        phase_masks, amp_masks, grid = channel.support
+        d = len(u)
+        if len(phase_masks) < len(amp_masks) and len(amp_masks) * d * d * 16 >= _KRAUS_BLOCK_BYTES:
+            # S Z**z X**x S = +-2**n Z**x X**z moves a gather that fills a block to the shorter side
+            u, v, phase_masks, amp_masks, grid = signs @ u, signs @ v, amp_masks, phase_masks, grid.T / (d * d)
+        # S[z, x] <u_n| Z**z X**x |v_n> = sum_r S[z, r] conj(u[r ^ x, n]) v[r, n]: the bra's rows are gathered
+        products = u.conj()[np.arange(d)[:, np.newaxis] ^ amp_masks].astype(np.result_type(u, v), copy=False)
+        products *= v[:, np.newaxis]
+        overlaps = np.abs(signs[phase_masks] @ products.reshape(d, -1))
+        overlaps **= 2
+        return grid.reshape(-1) @ overlaps.reshape(-1, d)
+    frame = _input_frame(n, basis)
+    targets = u @ frame
+    u, v = targets, targets if v is u else v @ frame
     bra, ket, phase_masks, amp_masks, grid = _shorter_loop(u, v, signs, channel.support)
     overlaps = np.abs(_pauli_overlaps(bra, ket, signs[phase_masks], amp_masks))
     overlaps **= 2
@@ -431,9 +454,12 @@ def _checked_transfer(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[
     Computes the 2**(n+1) - 1 process-matrix entries the certificate reads
     (``channel._transfer_entries``: the phase-only column, the bit-only row
     and chi_00, which they share), runs both ``classical_fidelity`` sweeps
-    and checks the diagonal identities.  The process fidelity is entry 0 of
-    the phase column; the full 4**n-entry diagonal is never formed.  Exact
-    and sampled reports both start here, so they run the same checks.
+    and checks the diagonal identities.  Each identity compares two codes:
+    for a ``PauliChannel`` the fz sweep shares no helper with the phase
+    column, and the bit row reads no Hadamard frame.  The process fidelity is
+    entry 0 of the phase column; the full 4**n-entry diagonal is never
+    formed.  Exact and sampled reports both start here, so they run the same
+    checks.
     """
     phase, bit = _transfer_entries(channel, gate)
     sweeps = {basis: classical_fidelity(channel, gate, basis) for basis in BASES}

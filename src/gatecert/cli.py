@@ -32,7 +32,7 @@ import numpy as np
 from .channel import Channel, ChiMatrix, PauliChannel, kraus_to_chi
 from .certify import FidelityReport, certify, ghz_chain_gate
 from .core import ConsistencyError, GateSpec, _orthogonality_bound, orthogonality_residual
-from .noise import NoiseSpec, _noise_kraus, noisy_gate
+from .noise import NoiseSpec, noisy_gate
 from .sampler import sampled_report
 
 __all__ = [
@@ -318,14 +318,9 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _channel_for(config: RunConfig) -> Channel | PauliChannel:
-    """The configured channel; a Pauli family stays stackless unless --include-chi needs its Kraus stack."""
-    gate, noise = config.gate, config.noise
-    if noise is None:
-        return Channel(gate.n_qubits, gate.u00[np.newaxis])
-    if config.include_chi:
-        # The chi writer reads the Kraus stack, so certify reads that stack too.
-        return Channel(gate.n_qubits, _noise_kraus(noise.kind, gate.n_qubits, noise.strength, noise.rank, noise.seed, gate.u00))
-    return noisy_gate(gate, noise)
+    if config.noise is None:
+        return Channel(config.gate.n_qubits, config.gate.u00[np.newaxis])
+    return noisy_gate(config.gate, config.noise)
 
 
 def _noise_json(spec: NoiseSpec | None):

@@ -26,22 +26,23 @@ def _targets(n_qubits):
     return gates, GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))
 
 
-def _numbers(channel, gate):
-    """Every number of the exact report, the chi entries and the sweeps; the sampled counts, or None at 1/2.
+# numpy's binomial switches branch at p = 1/2 and its mode floor((M + 1) p) is
+# an integer there for odd M, so a last-bit difference between two routes at
+# p = 1/2 can change a count.  In this case, (n, kind, gate index, p) against
+# the other target, every probability is 1/2 to a few ulps and the two routes
+# round it differently; no other case may draw different counts.
+COUNTS_DIFFER = {(1, "depolarizing_global", 1, 1.0)}
 
-    numpy's binomial switches branch at p = 1/2 and its mode floor((M + 1) p)
-    is an integer there for odd M, so where a probability lies within a few
-    ulps of 1/2 a last-bit difference between two routes can change the
-    count; there no count is compared.
-    """
+
+def _numbers(channel, gate):
+    """Every number of the exact report, the chi entries and the sweeps, and the sampled counts."""
     phase, bit = _transfer_entries(channel, gate)
     report = certify(channel, gate)
     probabilities = np.concatenate([classical_fidelity(channel, gate, basis)[0] for basis in ("z", "x")])
     values = [report.fz, report.fx, report.f_process_exact, *phase, *bit, *probabilities]
     if report.ghz_expectation is not None:
         values.append(report.ghz_expectation)
-    at_the_switch = np.any(np.abs(probabilities - 0.5) <= 4 * np.finfo(float).eps)
-    return np.array(values), None if at_the_switch else sampled_report(channel, gate, 97, 5).counts
+    return np.array(values), sampled_report(channel, gate, 97, 5).counts
 
 
 @pytest.mark.parametrize("kind", PAULI_KINDS)
@@ -50,14 +51,15 @@ def test_a_pauli_channel_agrees_with_its_kraus_stack(n_qubits, kind):
     # on its own target and on another one of the same size; the stack route
     # reads the same operators as a dense Channel
     gates, other = _targets(n_qubits)
-    for gate in gates:
+    for index, gate in enumerate(gates):
         for p in (0.0, 0.05, 0.37, 1.0):
             pauli = noisy_gate(gate, NoiseSpec(kind, p))
             dense = Channel(n_qubits, pauli.kraus_ops)
             for target in (gate, other):
                 (got, got_counts), (expected, expected_counts) = _numbers(pauli, target), _numbers(dense, target)
                 assert np.max(np.abs(got - expected)) < 1e-14, (gate.name, p)
-                assert got_counts == expected_counts, (gate.name, p)
+                if not (target is other and (n_qubits, kind, index, p) in COUNTS_DIFFER):
+                    assert got_counts == expected_counts, (gate.name, p)
 
 
 def test_the_three_party_correlation_reads_the_weights():
@@ -155,6 +157,26 @@ def test_a_skewed_complementary_frame_fails_the_bit_row_identity_of_a_pauli_chan
     certify(channel, gate)
     skew_the_complementary_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(channel, gate)
+
+
+@pytest.mark.parametrize("kind", PAULI_KINDS)
+def test_a_shared_weight_bug_fails_the_phase_identity(monkeypatch, kind):
+    # the phase column, the bit row and the fx sweep take the weights through
+    # core._shorter_loop and the fz sweep does not, so weights scaled there
+    # move every entry but fz, and only the fz identity sees it
+    gate = ghz_chain_gate(4)
+    channel = noisy_gate(gate, NoiseSpec(kind, 0.2))
+    certify(channel, gate)
+    shorter_loop = importlib.import_module("gatecert.core")._shorter_loop
+
+    def scaled(*args):
+        *rest, weights = shorter_loop(*args)
+        return (*rest, weights * (1 - 1e-6))
+
+    for module in ("gatecert.channel", "gatecert.certify"):
+        monkeypatch.setattr(importlib.import_module(module), "_shorter_loop", scaled)
+    with pytest.raises(ConsistencyError, match=r"diagonal sums: \|fz - sum\| = [1-9]"):
         certify(channel, gate)
 
 
