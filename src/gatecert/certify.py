@@ -39,6 +39,16 @@ For it the fz sweep and the phase column read the same overlaps
 <u_s| P_b |v_s>, so the sweep computes them by code of its own, not through
 the ``core`` helpers that the phase column calls.
 
+Each side gathers through its own XOR index r ^ x, built once per n and
+shared read-only: the fz sweep through ``_bra_index``, the phase column and
+the fx sweep through ``core._xor_index`` (inside ``core._pauli_overlaps``),
+and the bit row through ``channel._bit_frame_index``.  No identity has one
+index on both of its sides.  A single index for every side, with two of its
+columns swapped, certifies other weights consistently: on 24 such swaps
+over non-symmetric weight grids (``tests/test_pauli_channel.py``) six
+printed a wrong fz, fx and F with no ConsistencyError; with one index per
+side none did.
+
 The certificate rule, every report field that fz and fx alone decide, is
 stated once, in ``_certificate``; the report's check, its assembly and the
 exported helpers all read it.  A change to the verdicts, such as gating them
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -169,6 +180,7 @@ class FidelityReport:
                 raise ValueError(f"every count must be a non-negative integer, got {count!r}")
 
 
+@cache
 def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     """Real (float64) matrix whose column n is input state |psi_n> of the chosen product basis.
 
@@ -179,12 +191,23 @@ def _input_frame(n_qubits: int, basis: str) -> np.ndarray:
     Walsh sign table times the left-to-right product of n copies of that magnitude.
     A product with a complex operand casts the frame to complex128 first, so a
     complex gate or channel is swept against the frame's exact complex copy.
+    Each frame is built once per n and shared read-only.
     """
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     if basis == "z":
-        return np.eye(1 << n_qubits)
-    return _walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits)
+        return _frozen(np.eye(1 << n_qubits))
+    return _frozen(_walsh_signs(n_qubits) * math.prod([1.0 / np.sqrt(2.0)] * n_qubits))
+
+
+@cache
+def _bra_index(n_qubits: int) -> np.ndarray:
+    """The fz sweep's own 2**n x 2**n gather index r ^ x, row r, column x, built once per n, read-only.
+
+    It equals ``core._xor_index``, the phase column's, but is built apart (module docstring).
+    """
+    index = np.arange(1 << n_qubits)
+    return _frozen(np.bitwise_xor.outer(index, index))
 
 
 def _stack_probabilities(kraus: np.ndarray, u: np.ndarray, basis: str) -> np.ndarray:
@@ -221,7 +244,7 @@ def _stack_probabilities(kraus: np.ndarray, u: np.ndarray, basis: str) -> np.nda
                 amplitudes[block] = np.vecdot(targets, outputs, axis=-2)
     weights = np.abs(amplitudes)
     weights **= 2
-    return np.sum(weights, axis=0)
+    return weights.sum(axis=0)
 
 
 def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str) -> np.ndarray:
@@ -250,16 +273,21 @@ def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str) -> np
             # S Z**z X**x S = +-2**n Z**x X**z moves a gather that fills a block to the shorter side
             u, v, phase_masks, amp_masks, grid = signs @ u, signs @ v, amp_masks, phase_masks, grid.T / (d * d)
         # S[z, x] <u_n| Z**z X**x |v_n> = sum_r S[z, r] conj(u[r ^ x, n]) v[r, n]: the bra's rows are gathered
-        products = u.conj()[np.arange(d)[:, np.newaxis] ^ amp_masks].astype(np.result_type(u, v), copy=False)
+        index = _bra_index(n)
+        if len(amp_masks) < d:
+            index = index.take(amp_masks, axis=1)
+        products = u.conj().take(index, axis=0).astype(np.result_type(u, v), copy=False)
         products *= v[:, np.newaxis]
-        overlaps = np.abs(signs[phase_masks] @ products.reshape(d, -1))
+        rows = signs if len(phase_masks) == d else signs.take(phase_masks, axis=0)
+        overlaps = np.abs(rows @ products.reshape(d, -1))
         overlaps **= 2
         return grid.reshape(-1) @ overlaps.reshape(-1, d)
     frame = _input_frame(n, basis)
     targets = u @ frame
     u, v = targets, targets if v is u else v @ frame
     bra, ket, phase_masks, amp_masks, grid = _shorter_loop(u, v, signs, channel.support)
-    overlaps = np.abs(_pauli_overlaps(bra, ket, signs[phase_masks], amp_masks))
+    rows = signs if len(phase_masks) == len(signs) else signs.take(phase_masks, axis=0)
+    overlaps = np.abs(_pauli_overlaps(bra, ket, rows, amp_masks))
     overlaps **= 2
     return grid.reshape(-1) @ overlaps
 
@@ -285,18 +313,22 @@ def classical_fidelity(channel: Channel | PauliChannel, gate: GateSpec, basis: s
         probabilities = _pauli_probabilities(channel, gate.u00, basis)
     else:
         probabilities = _stack_probabilities(channel.kraus_ops, gate.u00, basis)
-    low, high = float(np.min(probabilities)), float(np.max(probabilities))
+    low, high = float(probabilities.min()), float(probabilities.max())
     if not (low >= -TOL.probability_slack and high <= 1.0 + TOL.probability_slack):
         raise ConsistencyError(f"transfer probabilities outside [0, 1]: min {low!r}, max {high!r}")
     # entries a few ulps outside [0, 1] are rounding; clipped, they reach no mean or shot draw
-    _frozen(np.clip(probabilities, 0.0, 1.0, out=probabilities))
-    return probabilities, float(np.mean(probabilities))
+    if low < 0.0:
+        np.maximum(probabilities, 0.0, out=probabilities)
+    if high > 1.0:
+        np.minimum(probabilities, 1.0, out=probabilities)
+    _frozen(probabilities)
+    return probabilities, float(probabilities.sum()) / len(probabilities)
 
 
 def _require_diagonal_identity(fz: float, fx: float, phase: np.ndarray, bit: np.ndarray) -> tuple[float, float]:
     """Compare fz and fx with the sums of the phase-only column and the bit-only row of the chi diagonal."""
-    residual_z = abs(fz - float(np.sum(phase)))
-    residual_x = abs(fx - float(np.sum(bit)))
+    residual_z = abs(fz - float(phase.sum()))
+    residual_x = abs(fx - float(bit.sum()))
     if not (residual_z <= TOL.diagonal_identity and residual_x <= TOL.diagonal_identity):
         raise ConsistencyError(
             "transfer fidelities disagree with the process-matrix diagonal sums: "

@@ -32,12 +32,17 @@ permutation of w for a Clifford gate, dense for a Haar one).  Both routes
 check that the two values of chi_00 agree, that every entry lies in [0, 1]
 and that each partial sum is at most 1.  Neither reads the Hadamard frame
 of the complementary sweep: that frame is the fx sweep's alone.
+
+Their XOR gathers read per-n, read-only indices apart from their partners':
+the phase column ``core._xor_index`` (in ``core._pauli_overlaps``), which
+the fx sweep shares, and the bit row ``_bit_frame_index`` alone; the fz sweep
+has its own.  The ``certify`` module docstring says why none is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -129,7 +134,7 @@ class Channel:
 
 def _pauli_mixture(weights: np.ndarray, n_qubits: int, right) -> np.ndarray:
     """sqrt(w_a) Z**z X**x @ right for each flat mask a = (z << n) + x whose weight w_a is not zero."""
-    flat = np.flatnonzero(weights)
+    flat = weights.nonzero()[0]
     return _pauli_products(flat >> n_qubits, flat & ((1 << n_qubits) - 1), n_qubits, np.sqrt(weights[flat]), right)
 
 
@@ -177,12 +182,19 @@ class PauliChannel:
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Zs, Xs, W): the phase and bit masks that carry weight, and W[i, j] = w of (Zs[i], Xs[j])."""
-        n = self.n_qubits
-        grid = self.weights.reshape(1 << n, 1 << n)
-        phase_masks = np.flatnonzero(grid.any(axis=1))
-        amp_masks = np.flatnonzero(grid.any(axis=0))
-        return phase_masks, amp_masks, grid[phase_masks[:, np.newaxis], amp_masks]
+        """(Zs, Xs, W): the phase and bit masks that carry weight, and W[i, j] = w of (Zs[i], Xs[j]).
+
+        A full support's W is a read-only view of the weights.
+        """
+        d = 1 << self.n_qubits
+        grid = self.weights.reshape(d, d)
+        phase_masks = grid.any(axis=1).nonzero()[0]
+        amp_masks = grid.any(axis=0).nonzero()[0]
+        if len(phase_masks) < d:
+            grid = grid.take(phase_masks, axis=0)
+        if len(amp_masks) < d:
+            grid = grid.take(amp_masks, axis=1)
+        return phase_masks, amp_masks, grid
 
 
 @dataclass(frozen=True)
@@ -257,15 +269,17 @@ def _error_coefficients(channel: Channel | PauliChannel, gate: GateSpec) -> np.n
     return coeffs
 
 
+@cache
 def _bit_frame_index(d: int, rows: int) -> np.ndarray:
     """Gather index of a frame chunk: entry ((t, s), x) reads row t, column s ^ x of ``rows`` matrix rows.
 
     Applied to the flattened rows t0 .. t0 + rows of conj(u00), it lays out
     conj(u00 X**x)[t, s] = conj(u00)[t, s ^ x] for every x as one
     (rows 2**n x 2**n) matrix, row (t, s) and column x.  Since x < 2**n, the
-    flat source t 2**n + (s ^ x) is (t 2**n + s) ^ x.
+    flat source t 2**n + (s ^ x) is (t 2**n + s) ^ x.  With one row it is
+    the table s ^ x.  Built once and read-only; the bit row reads no other XOR table.
     """
-    return np.arange(rows * d)[:, np.newaxis] ^ np.arange(d)
+    return _frozen(np.arange(rows * d)[:, np.newaxis] ^ np.arange(d))
 
 
 def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -302,8 +316,8 @@ def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
         bit_coeffs = np.empty((m, d), dtype=dtype)
         for start in range(0, m, rows_per_chunk):
             products = (u_dag @ kraus[start : start + rows_per_chunk]).reshape(-1, d * d)
-            gathered = np.take(products, xor_diagonals, axis=1, mode="clip")
-            np.sum(gathered, axis=1, out=bit_coeffs[start : start + rows_per_chunk])
+            gathered = products.take(xor_diagonals, axis=1, mode="clip")
+            gathered.sum(axis=1, out=bit_coeffs[start : start + rows_per_chunk])
     else:
         flat = kraus.reshape(m, d * d)
         u_conj = u.conj().reshape(d * d)
@@ -313,7 +327,7 @@ def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
         for rows in chunks:
             lo, hi = rows.start * d, rows.stop * d
             # The index lies in range by construction; "clip" skips the bounds check.
-            np.take(u_conj[lo:hi], index, out=frame, mode="clip")
+            u_conj[lo:hi].take(index, out=frame, mode="clip")
             # The spent phase coefficients, also m x 2**n, hold each product.
             bit_coeffs += np.matmul(flat[:, lo:hi], frame, out=phase_coeffs)
     np.vecdot(bit_coeffs, bit_coeffs, axis=0, out=weights[1])
@@ -324,13 +338,15 @@ def _bit_traces(u: np.ndarray, v: np.ndarray, signs: np.ndarray, amp_masks: np.n
     """Tr{X**x' u^dag Z**z X**x v} = sum_r signs[z, r] sum_s conj(u[r, s ^ x']) v[r ^ x, s]: an array [(z, x), x'].
 
     The XOR frame conj(u[r, s ^ x']) of ``_bit_frame_index`` is contracted
-    over s with the rows of v gathered for each x, one 2**n x 2**n product
-    per row r, and the sign rows then sum over r.  The frame holds 8**n
-    entries, 2 MB for a real gate at n=6.
+    over s with the rows of v gathered for each x through the same index,
+    one 2**n x 2**n product per row r, and the sign rows then sum over r.
+    The frame holds 8**n entries, 2 MB for a real gate at n=6.
     """
     d = len(u)
-    frame = u.conj()[:, _bit_frame_index(d, 1)]
-    gathered = v[np.arange(d)[:, np.newaxis] ^ amp_masks] @ frame
+    index = _bit_frame_index(d, 1)
+    frame = u.conj().take(index, axis=1)
+    rows = index if len(amp_masks) == d else index.take(amp_masks, axis=1)
+    gathered = v.take(rows, axis=0) @ frame
     return (signs @ gathered.reshape(d, -1)).reshape(-1, d)
 
 
@@ -353,8 +369,9 @@ def _pauli_entries(channel: PauliChannel, gate: GateSpec) -> np.ndarray:
     signs = _walsh_signs(gate.n_qubits)
     u, v, phase_masks, amp_masks, grid = _shorter_loop(gate.u00, channel.gate.u00, signs, channel.support)
     weights = grid.reshape(-1)
-    phase = np.abs(_pauli_overlaps(u, v, signs[phase_masks], amp_masks) @ signs)
-    bit = np.abs(_bit_traces(u, v, signs[phase_masks], amp_masks))
+    rows = signs if len(phase_masks) == len(signs) else signs.take(phase_masks, axis=0)
+    phase = np.abs(_pauli_overlaps(u, v, rows, amp_masks) @ signs)
+    bit = np.abs(_bit_traces(u, v, rows, amp_masks))
     phase **= 2
     bit **= 2
     return np.array([weights @ phase, weights @ bit])

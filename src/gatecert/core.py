@@ -89,8 +89,14 @@ def _check_qubit_count(n_qubits) -> int:
 
 
 def _identity_residual(gram: np.ndarray) -> float:
-    """Largest absolute row sum of gram - I; for Hermitian gram it bounds |<psi|gram|psi> - 1| for unit psi."""
-    return float(np.max(np.sum(np.abs(gram - np.eye(gram.shape[0])), axis=1)))
+    """Largest absolute row sum of gram - I; for Hermitian gram it bounds |<psi|gram|psi> - 1| for unit psi.
+
+    The identity is subtracted in place: every caller passes a fresh product it does not read again.
+    """
+    d = len(gram)
+    flat = gram.reshape(-1)
+    flat[:: d + 1] -= 1.0
+    return float(np.abs(flat).reshape(d, d).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -253,15 +259,29 @@ def _shorter_loop(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, support) 
     return signs @ bra, signs @ ket, amp_masks, phase_masks, weights.T / (d * d)
 
 
+@cache
+def _xor_index(n_qubits: int) -> np.ndarray:
+    """The 2**n x 2**n gather index r ^ x, row r, column x, of ``_pauli_overlaps`` alone, built once per n, read-only.
+
+    The fz sweep and the bit row gather through indices of their own (``certify`` module docstring).
+    """
+    index = np.arange(1 << n_qubits)
+    return _frozen(index[:, np.newaxis] ^ index)
+
+
 def _pauli_overlaps(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, amp_masks: np.ndarray) -> np.ndarray:
     """<bra_n| Z**z X**x |ket_n> for every column n, row z of ``signs`` and x of ``amp_masks``: an array [(z, x), n].
 
     With (Z**z X**x)[r, r ^ x] = signs[z, r], each overlap is
     sum_r signs[z, r] conj(bra[r, n]) ket[r ^ x, n]: one XOR row gather of
     ``ket`` for all x, times conj(bra), and one product with the sign rows.
+    The gather reads the columns ``amp_masks`` of ``_xor_index``.
     """
     d = len(bra)
-    products = ket[np.arange(d)[:, np.newaxis] ^ amp_masks].astype(np.result_type(bra, ket), copy=False)
+    index = _xor_index(d.bit_length() - 1)
+    if len(amp_masks) < d:
+        index = index.take(amp_masks, axis=1)
+    products = ket.take(index, axis=0).astype(np.result_type(bra, ket), copy=False)
     products *= bra.conj()[:, np.newaxis]
     return (signs @ products.reshape(d, -1)).reshape(-1, products.shape[-1])
 

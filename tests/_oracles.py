@@ -244,13 +244,18 @@ def skew_the_complementary_frame(monkeypatch):
 
 
 def swap_in_the_x_1_bit_frame(monkeypatch):
-    """Make the certify path's bit row gather the x = 1 frame in place of x = 0, so its chi_00 reads chi_{(0,1)}."""
+    """Make the certify path's bit row gather the x = 1 frame in place of x = 0, so its chi_00 reads chi_{(0,1)}.
+
+    The package builds each index once and shares it read-only, so the
+    corruption is written into a copy; the shared index stays intact for
+    every later call once the monkeypatch is undone.
+    """
     import gatecert.channel as channel_module
 
     index = channel_module._bit_frame_index
 
     def corrupted(d, rows):
-        table = index(d, rows)
+        table = index(d, rows).copy()
         table[:, 0] = table[:, 1]
         return table
 

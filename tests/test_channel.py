@@ -16,7 +16,7 @@ from gatecert.core import (
     GateSpec,
     build_error_basis,
 )
-from gatecert.certify import ghz_chain_gate
+from gatecert.certify import certify, ghz_chain_gate
 from gatecert.noise import NoiseSpec, noisy_gate, random_cptp
 from gatecert.sampler import sampled_report
 from gatecert.tolerances import TOL
@@ -314,10 +314,13 @@ def test_a_corrupted_bit_frame_fails_the_two_route_chi_00_check(monkeypatch, n_q
     # n = 5 walks the stack rows in eight frame chunks, n = 2 in one
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(80 + n_qubits), 2**n_qubits))
     channel = Channel(n_qubits, noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)).kraus_ops)
-    _transfer_entries(channel, gate)
+    expected = certify(channel, gate)
     swap_in_the_x_1_bit_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="routes to chi_00"):
         _transfer_entries(channel, gate)
+    # the corruption went into a copy: the shared index serves the next call intact
+    monkeypatch.undo()
+    assert certify(channel, gate) == expected
 
 
 def test_transfer_entries_stay_at_a_few_coefficient_arrays():

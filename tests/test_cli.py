@@ -249,6 +249,10 @@ def test_a_corrupted_bit_frame_exits_with_the_consistency_code(monkeypatch, tmp_
         assert code == 2, command
         assert doc is None
         assert "routes to chi_00" in capsys.readouterr().err
+    monkeypatch.undo()
+    for command in REPORT_COMMANDS:
+        code, doc = run(tmp_path, *command, "--gate", "ghz-chain", "--qubits", "3", "--noise", "depolarizing_global:0.1")
+        assert code == 0 and doc is not None, command
 
 
 def test_a_basis_check_residual_over_its_bound_exits_with_the_consistency_code(monkeypatch, capsys):

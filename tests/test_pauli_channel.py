@@ -185,10 +185,97 @@ def test_a_shared_weight_bug_fails_the_phase_identity(monkeypatch, kind):
 def test_a_corrupted_bit_frame_fails_the_two_route_chi_00_check_of_a_pauli_channel(monkeypatch, n_qubits, kind):
     gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(80 + n_qubits), 2**n_qubits))
     channel = noisy_gate(gate, NoiseSpec(kind, 0.2))
-    _transfer_entries(channel, gate)
+    expected = certify(channel, gate)
     swap_in_the_x_1_bit_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="routes to chi_00"):
         _transfer_entries(channel, gate)
+    # the corruption went into a copy: the shared index serves the next call intact
+    monkeypatch.undo()
+    assert certify(channel, gate) == expected
+
+
+# The per-n XOR gather indices and the sides that read them: the fz sweep its
+# own, the phase column and the fx sweep core._pauli_overlaps', the bit row
+# channel._bit_frame_index.  No identity that certify checks has one index on
+# both of its sides.
+GATHER_INDICES = {
+    "fz sweep": ("gatecert.certify", "_bra_index"),
+    "phase column and fx sweep": ("gatecert.core", "_xor_index"),
+    "bit row": ("gatecert.channel", "_bit_frame_index"),
+}
+
+
+def _gather_index(name, n_qubits):
+    module, attribute = GATHER_INDICES[name]
+    build = getattr(importlib.import_module(module), attribute)
+    return build(1 << n_qubits, 1) if name == "bit row" else build(n_qubits)
+
+
+def _swap_columns(monkeypatch, names, n_qubits, a, b):
+    """Hand every side in ``names`` a copy of its index with columns a and b swapped."""
+    for name in names:
+        table = _gather_index(name, n_qubits).copy()
+        table[:, [a, b]] = table[:, [b, a]]
+        module, attribute = GATHER_INDICES[name]
+        monkeypatch.setattr(importlib.import_module(module), attribute, lambda *args, table=table: table)
+
+
+def _column_swap_cases():
+    """(gate, channel, swapped columns) at n=2..4: chain and Haar gates, full and half-row weight supports."""
+    for n_qubits in (2, 3, 4):
+        rng = np.random.default_rng(40 + n_qubits)
+        d = 1 << n_qubits
+        gates = (ghz_chain_gate(n_qubits), GateSpec.from_matrix(haar_unitary(rng, d)))
+        for gate in gates:
+            full, half = rng.random((d, d)), rng.random((d, d))
+            half[1::2] = 0.0
+            for grid in (full, half):
+                channel = PauliChannel(gate, (grid / grid.sum()).reshape(-1))
+                for columns in ((0, 1), (1, d - 1)):
+                    yield gate, channel, columns
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+def test_each_side_gathers_through_its_own_read_only_index(n_qubits):
+    tables = [_gather_index(name, n_qubits) for name in GATHER_INDICES]
+    rows = np.arange(1 << n_qubits)[:, np.newaxis]
+    for i, table in enumerate(tables):
+        assert np.array_equal(table, rows ^ rows.T)
+        assert not table.flags.writeable
+        assert table is _gather_index(list(GATHER_INDICES)[i], n_qubits)
+        for other in tables[i + 1 :]:
+            assert table is not other and not np.shares_memory(table, other)
+
+
+@pytest.mark.parametrize("name", list(GATHER_INDICES))
+def test_two_swapped_columns_of_one_gather_index_fail_an_identity(monkeypatch, name):
+    # where the weights tell the two columns apart the broken side disagrees
+    # with its partner; elsewhere the swap moves no number.  A random full
+    # grid on a Haar gate tells every pair of columns apart
+    for gate, channel, (a, b) in _column_swap_cases():
+        clean = certify(channel, gate)
+        _swap_columns(monkeypatch, [name], gate.n_qubits, a, b)
+        try:
+            assert certify(PauliChannel(channel.gate, channel.weights), gate) == clean, (gate.name, a, b)
+            assert gate.name == "ghz-chain" or channel.rank < len(channel.weights)
+        except ConsistencyError:
+            pass
+        monkeypatch.undo()
+
+
+def test_one_index_shared_by_every_side_would_print_wrong_numbers(monkeypatch):
+    # the same swap on all three indices is certifying other weights
+    # consistently: no identity sees it, which is why the sides do not share one
+    wrong = 0
+    for gate, channel, (a, b) in _column_swap_cases():
+        clean = certify(channel, gate)
+        _swap_columns(monkeypatch, list(GATHER_INDICES), gate.n_qubits, a, b)
+        try:
+            wrong += certify(PauliChannel(channel.gate, channel.weights), gate) != clean
+        except ConsistencyError:
+            pass
+        monkeypatch.undo()
+    assert wrong >= 1
 
 
 def test_a_report_rejects_a_process_fidelity_outside_the_unit_interval():
