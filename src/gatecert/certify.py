@@ -39,11 +39,27 @@ For it the fz sweep and the phase column read the same overlaps
 <u_s| P_b |v_s>, so the sweep computes them by code of its own, not through
 the ``core`` helpers that the phase column calls.
 
+For a ``PauliChannel`` every number the pass reads is linear in the
+weights: the fz and fx probabilities, the phase column and the bit row are
+each w @ T, with a table T of squared overlaps or traces that depends on
+the gates and the support Zs x Xs of w alone.  Each side builds its own T
+with its own code and index, and each request contracts it with its own
+weights.  After a pass on a channel whose gate is the target itself has
+passed every check above, the target keeps its four tables
+(``GateSpec._pauli_tables``, one support at a time), and the next such pass
+over the same support reads them instead of building them; a channel of
+another gate, a Kraus stack and a sweep called alone build theirs and keep
+none.  Each identity still compares two codes: its two sides' tables were
+built apart and passed it together, and every request checks it again on
+its own weights, through the fz sweep's weight rule on one side and
+``core._loop_weights`` on the other.
+
 Each side gathers through its own XOR index r ^ x, built once per n and
 shared read-only: the fz sweep through ``_bra_index``, the phase column and
 the fx sweep through ``core._xor_index`` (inside ``core._pauli_overlaps``),
-and the bit row through ``channel._bit_frame_index``.  No identity has one
-index on both of its sides.  A single index for every side, with two of its
+the bit row through ``channel._bit_frame_index``, and the bit row of a
+small Kraus stack through ``channel._xor_diagonal_index``.  No identity has
+one index on both of its sides.  A single index for every side, with two of its
 columns swapped, certifies other weights consistently: on 24 such swaps
 over non-symmetric weight grids (``tests/test_pauli_channel.py``) six
 printed a wrong fz, fx and F with no ConsistencyError; with one index per
@@ -61,6 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,6 +89,7 @@ from .core import (
     _check_qubit_count,
     _frozen,
     _kraus_blocks,
+    _loop_weights,
     _pauli_overlaps,
     _shorter_loop,
     _walsh_signs,
@@ -247,52 +265,90 @@ def _stack_probabilities(kraus: np.ndarray, u: np.ndarray, basis: str) -> np.nda
     return weights.sum(axis=0)
 
 
-def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str) -> np.ndarray:
-    """sum_b w_b |<t_n| P_b |c_n>|**2 for every input n of ``basis``, from a ``PauliChannel``'s gate and weights.
+def _bra_overlaps(channel: PauliChannel, u: np.ndarray, swap: bool) -> np.ndarray:
+    """The fz sweep's read-only table |<u_n| Z**z X**x |v_n>|**2, row (z, x) of the support Zs x Xs, column n.
 
-    With t_n = u00 |psi_n> the ideal image and c_n the channel gate's image
-    of |psi_n>, each overlap is <t_n| Z**z X**x |c_n> over the weight
-    support Zs x Xs.
-
-    The computational frame is the identity, so its images are the gates'
-    columns, and the phase column of ``channel._transfer_entries`` is the
-    Walsh transform of these very overlaps.  The fz sweep therefore computes
-    them by code of its own, gathering the bra's rows, and never calls
-    ``core._pauli_overlaps`` or ``core._shorter_loop``, which the phase column
-    reads; so the fz identity compares two codes rather than restating
-    Parseval.  The complementary sweep takes those two: an XOR row gather of
-    the ket images and the sign rows of the support.
+    u_n and v_n are the columns of u and of the channel gate; with ``swap``
+    both are taken through the Walsh table S and Zs and Xs trade places,
+    since S Z**z X**x S = +-2**n Z**x X**z moves a gather that fills a block
+    to the shorter side.  S[z, x] <u_n| Z**z X**x |v_n> =
+    sum_r S[z, r] conj(u[r ^ x, n]) v[r, n]: the bra's rows are gathered
+    through ``_bra_index``.
     """
     n = channel.n_qubits
     v = channel.gate.u00
     signs = _walsh_signs(n)
-    if basis == "z":
-        phase_masks, amp_masks, grid = channel.support
-        d = len(u)
-        if len(phase_masks) < len(amp_masks) and len(amp_masks) * d * d * 16 >= _KRAUS_BLOCK_BYTES:
-            # S Z**z X**x S = +-2**n Z**x X**z moves a gather that fills a block to the shorter side
-            u, v, phase_masks, amp_masks, grid = signs @ u, signs @ v, amp_masks, phase_masks, grid.T / (d * d)
-        # S[z, x] <u_n| Z**z X**x |v_n> = sum_r S[z, r] conj(u[r ^ x, n]) v[r, n]: the bra's rows are gathered
-        index = _bra_index(n)
-        if len(amp_masks) < d:
-            index = index.take(amp_masks, axis=1)
-        products = u.conj().take(index, axis=0).astype(np.result_type(u, v), copy=False)
-        products *= v[:, np.newaxis]
-        rows = signs if len(phase_masks) == d else signs.take(phase_masks, axis=0)
-        overlaps = np.abs(rows @ products.reshape(d, -1))
-        overlaps **= 2
-        return grid.reshape(-1) @ overlaps.reshape(-1, d)
-    frame = _input_frame(n, basis)
+    phase_masks, amp_masks, _ = channel.support
+    d = len(u)
+    if swap:
+        u, v, phase_masks, amp_masks = signs @ u, signs @ v, amp_masks, phase_masks
+    index = _bra_index(n)
+    if len(amp_masks) < d:
+        index = index.take(amp_masks, axis=1)
+    products = u.conj().take(index, axis=0).astype(np.result_type(u, v), copy=False)
+    products *= v[:, np.newaxis]
+    rows = signs if len(phase_masks) == d else signs.take(phase_masks, axis=0)
+    overlaps = np.abs(rows @ products.reshape(d, -1))
+    overlaps **= 2
+    return _frozen(overlaps.reshape(-1, d))
+
+
+def _ket_overlaps(channel: PauliChannel, u: np.ndarray, basis: str) -> np.ndarray:
+    """The complementary sweep's read-only table |<t_n| Z**z X**x |c_n>|**2, rows as ``core._shorter_loop`` orders them.
+
+    t_n and c_n are the images of the frame's input n under u and under the
+    channel gate; ``core._pauli_overlaps`` gathers the ket rows.
+    """
+    signs = _walsh_signs(channel.n_qubits)
+    frame = _input_frame(channel.n_qubits, basis)
     targets = u @ frame
+    v = channel.gate.u00
     u, v = targets, targets if v is u else v @ frame
-    bra, ket, phase_masks, amp_masks, grid = _shorter_loop(u, v, signs, channel.support)
+    phase_masks, amp_masks, _ = channel.support
+    bra, ket, phase_masks, amp_masks = _shorter_loop(u, v, signs, phase_masks, amp_masks)
     rows = signs if len(phase_masks) == len(signs) else signs.take(phase_masks, axis=0)
     overlaps = np.abs(_pauli_overlaps(bra, ket, rows, amp_masks))
     overlaps **= 2
-    return grid.reshape(-1) @ overlaps
+    return _frozen(overlaps)
 
 
-def classical_fidelity(channel: Channel | PauliChannel, gate: GateSpec, basis: str) -> tuple[np.ndarray, float]:
+def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str, tables: dict) -> np.ndarray:
+    """sum_b w_b |<t_n| P_b |c_n>|**2 for every input n of ``basis``, from a ``PauliChannel``'s gate and weights.
+
+    With t_n = u00 |psi_n> the ideal image and c_n the channel gate's image
+    of |psi_n>, each overlap is <t_n| Z**z X**x |c_n> over the weight
+    support Zs x Xs.  The squared overlaps depend on the gates and the
+    support alone: they are ``tables[basis]`` where it holds them, and are
+    otherwise built and put there.  Each request weighs them with its
+    weights, one product.
+
+    The computational frame is the identity, so its images are the gates'
+    columns, and the phase column of ``channel._transfer_entries`` is the
+    Walsh transform of these very overlaps.  The fz sweep therefore computes
+    them by code of its own (``_bra_overlaps``) and takes its weights by its
+    own rule, and never calls ``core._pauli_overlaps``, ``core._shorter_loop``
+    or ``core._loop_weights``, which the phase column reads; so the fz
+    identity compares two codes rather than restating Parseval.  The
+    complementary sweep (``_ket_overlaps``) takes those three: an XOR row
+    gather of the ket images and the sign rows of the support.
+    """
+    phase_masks, amp_masks, grid = channel.support
+    d = len(u)
+    if basis != "z":
+        if basis not in tables:
+            tables[basis] = _ket_overlaps(channel, u, basis)
+        return _loop_weights(channel.support, d) @ tables[basis]
+    swap = len(phase_masks) < len(amp_masks) and len(amp_masks) * d * d * 16 >= _KRAUS_BLOCK_BYTES
+    if "z" not in tables:
+        tables["z"] = _bra_overlaps(channel, u, swap)
+    if swap:
+        grid = grid.T / (d * d)
+    return grid.reshape(-1) @ tables["z"]
+
+
+def classical_fidelity(
+    channel: Channel | PauliChannel, gate: GateSpec, basis: str, tables: dict | None = None
+) -> tuple[np.ndarray, float]:
     """Per-input success probabilities and their mean, the transfer fidelity for one basis.
 
     Input n of the chosen product basis succeeds with probability
@@ -307,10 +363,13 @@ def classical_fidelity(channel: Channel | PauliChannel, gate: GateSpec, basis: s
     Both routes take the complementary frame from ``_input_frame``, the Walsh
     sign table that the bit-only row of ``channel._transfer_entries`` never
     reads, so a broken frame still fails the fx identity in ``certify``.
+
+    ``tables`` is the table store of ``_checked_transfer``; called without
+    it, the sweep builds a ``PauliChannel``'s table afresh and keeps none.
     """
     _check_pair(channel, gate)
     if isinstance(channel, PauliChannel):
-        probabilities = _pauli_probabilities(channel, gate.u00, basis)
+        probabilities = _pauli_probabilities(channel, gate.u00, basis, {} if tables is None else tables)
     else:
         probabilities = _stack_probabilities(channel.kraus_ops, gate.u00, basis)
     low, high = float(probabilities.min()), float(probabilities.max())
@@ -492,10 +551,25 @@ def _checked_transfer(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[
     entry 0 of the phase column; the full 4**n-entry diagonal is never
     formed.  Exact and sampled reports both start here, so they run the same
     checks.
+
+    For a ``PauliChannel`` of this very gate, the pass reads the four
+    response tables from the gate's slot (``GateSpec._pauli_tables``) when
+    they were kept for the same support, and otherwise keeps the ones it
+    builds, once every check here has passed.
     """
-    phase, bit = _transfer_entries(channel, gate)
-    sweeps = {basis: classical_fidelity(channel, gate, basis) for basis in BASES}
+    key = None
+    if isinstance(channel, PauliChannel) and channel.gate is gate:
+        phase_masks, amp_masks, _ = channel.support
+        # the bytes of the two int64 mask arrays are equal exactly when the supports are
+        key = phase_masks.tobytes(), amp_masks.tobytes()
+    kept = gate._pauli_tables
+    hit = key is not None and kept is not None and kept[0] == key
+    tables = kept[1] if hit else {}
+    phase, bit = _transfer_entries(channel, gate, tables)
+    sweeps = {basis: classical_fidelity(channel, gate, basis, tables) for basis in BASES}
     _require_diagonal_identity(sweeps["z"][1], sweeps["x"][1], phase, bit)
+    if key is not None and not hit:
+        object.__setattr__(gate, "_pauli_tables", (key, MappingProxyType(tables)))
     return float(phase[0]), sweeps
 
 

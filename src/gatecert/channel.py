@@ -35,8 +35,10 @@ of the complementary sweep: that frame is the fx sweep's alone.
 
 Their XOR gathers read per-n, read-only indices apart from their partners':
 the phase column ``core._xor_index`` (in ``core._pauli_overlaps``), which
-the fx sweep shares, and the bit row ``_bit_frame_index`` alone; the fz sweep
-has its own.  The ``certify`` module docstring says why none is shared.
+the fx sweep shares, the bit row ``_bit_frame_index`` alone, and the bit
+row of a small Kraus stack ``_xor_diagonal_index`` alone; the fz sweep has
+its own.  The ``certify`` module docstring says why none is shared, and
+when a ``PauliChannel``'s two rows read tables kept on the gate.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .core import (
     _frozen,
     _identity_residual,
     _kraus_blocks,
+    _loop_weights,
     _pauli_overlaps,
     _pauli_products,
     _readonly,
@@ -282,6 +285,17 @@ def _bit_frame_index(d: int, rows: int) -> np.ndarray:
     return _frozen(np.arange(rows * d)[:, np.newaxis] ^ np.arange(d))
 
 
+@cache
+def _xor_diagonal_index(d: int) -> np.ndarray:
+    """Gather index of the XOR diagonals of a flattened d x d matrix: entry (s, x) is the flat (s ^ x, s).
+
+    Read by the small-stack route of ``_stack_entries`` alone; built once per
+    dimension and read-only.
+    """
+    s = np.arange(d)[:, np.newaxis]
+    return _frozen((s ^ s.T) * d + s)
+
+
 def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Rows sum_m |Tr{(u00 Z**z)^dag K_m}|**2 and sum_m |Tr{(u00 X**x)^dag K_m}|**2 of a Kraus stack, unnormalized.
 
@@ -310,8 +324,7 @@ def _stack_entries(kraus: np.ndarray, u: np.ndarray) -> np.ndarray:
     rows_per_chunk = chunks[0].stop
     if 2 * m < d and len(chunks) > 1:
         # The frames would cost more than the stack they read.
-        s = np.arange(d)[:, np.newaxis]
-        xor_diagonals = (s ^ s.T) * d + s  # row s, column x: flat (s ^ x, s)
+        xor_diagonals = _xor_diagonal_index(d)
         u_dag = u.conj().T
         bit_coeffs = np.empty((m, d), dtype=dtype)
         for start in range(0, m, rows_per_chunk):
@@ -350,7 +363,24 @@ def _bit_traces(u: np.ndarray, v: np.ndarray, signs: np.ndarray, amp_masks: np.n
     return (signs @ gathered.reshape(d, -1)).reshape(-1, d)
 
 
-def _pauli_entries(channel: PauliChannel, gate: GateSpec) -> np.ndarray:
+def _pauli_entry_tables(channel: PauliChannel, gate: GateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only tables |Tr{Z**z' M_b}|**2 and |Tr{X**x' M_b}|**2, row b of the support, for ``_pauli_entries``.
+
+    They depend on the gate, the channel's gate and the support Zs x Xs
+    alone, with the rows in the order of ``core._shorter_loop``.
+    """
+    signs = _walsh_signs(gate.n_qubits)
+    phase_masks, amp_masks, _ = channel.support
+    u, v, phase_masks, amp_masks = _shorter_loop(gate.u00, channel.gate.u00, signs, phase_masks, amp_masks)
+    rows = signs if len(phase_masks) == len(signs) else signs.take(phase_masks, axis=0)
+    phase = np.abs(_pauli_overlaps(u, v, rows, amp_masks) @ signs)
+    bit = np.abs(_bit_traces(u, v, rows, amp_masks))
+    phase **= 2
+    bit **= 2
+    return _frozen(phase), _frozen(bit)
+
+
+def _pauli_entries(channel: PauliChannel, gate: GateSpec, tables: dict) -> np.ndarray:
     """The rows of ``_stack_entries`` for a ``PauliChannel``, from its gate and weights alone.
 
     With u = gate.u00, v = channel.gate.u00 and M_b = u^dag P_b v, each row
@@ -365,19 +395,20 @@ def _pauli_entries(channel: PauliChannel, gate: GateSpec) -> np.ndarray:
     Both loop over Xs, or over Zs where ``core._shorter_loop`` moves the loop
     there: the phase column costs |Zs| |Xs| 4**n and the bit row that plus
     8**n per pass of the loop.  Nothing of the Kraus stack's size is made.
+    Both squared magnitudes come from ``_pauli_entry_tables``, or from
+    ``tables`` under the keys "phase" and "bit" where it holds them; fresh
+    ones are put there.  Each row is the weights of ``core._loop_weights``
+    times its table.
     """
-    signs = _walsh_signs(gate.n_qubits)
-    u, v, phase_masks, amp_masks, grid = _shorter_loop(gate.u00, channel.gate.u00, signs, channel.support)
-    weights = grid.reshape(-1)
-    rows = signs if len(phase_masks) == len(signs) else signs.take(phase_masks, axis=0)
-    phase = np.abs(_pauli_overlaps(u, v, rows, amp_masks) @ signs)
-    bit = np.abs(_bit_traces(u, v, rows, amp_masks))
-    phase **= 2
-    bit **= 2
-    return np.array([weights @ phase, weights @ bit])
+    if "phase" not in tables:
+        tables["phase"], tables["bit"] = _pauli_entry_tables(channel, gate)
+    weights = _loop_weights(channel.support, 1 << gate.n_qubits)
+    return np.array([weights @ tables["phase"], weights @ tables["bit"]])
 
 
-def _transfer_entries(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_entries(
+    channel: Channel | PauliChannel, gate: GateSpec, tables: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The phase-only column chi_{(z,0)} and the bit-only row chi_{(0,x)}: the 2**(n+1) - 1 entries certify reads.
 
     A Kraus stack goes through ``_stack_entries`` and a ``PauliChannel``
@@ -386,11 +417,14 @@ def _transfer_entries(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[
     of chi_00 must agree within ``TOL.chi_diagonal``, and each of the two
     partial sums must be at most 1.  A validated channel fails these checks
     only through a bug, NaN included, so they raise ConsistencyError.
+
+    ``tables`` is the table store of ``certify._checked_transfer``; called
+    without it, a ``PauliChannel``'s tables are built afresh and kept nowhere.
     """
     n = _check_pair(channel, gate)
     d = 1 << n
     if isinstance(channel, PauliChannel):
-        entries = _pauli_entries(channel, gate)
+        entries = _pauli_entries(channel, gate, {} if tables is None else tables)
     else:
         entries = _stack_entries(channel.kraus_ops, gate.u00)
     entries /= d * d

@@ -18,7 +18,7 @@ arrays; operations on them are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -108,11 +108,20 @@ class GateSpec:
     ``from_matrix`` always makes it complex128.  The array is frozen, so code
     that edits a copy in place must cast a real one first,
     ``gate.u00.astype(complex)``, or a complex entry is dropped.
+
+    ``_pauli_tables`` is one slot, empty at construction, that
+    ``certify._checked_transfer`` fills after a checked pass on a
+    ``PauliChannel`` of this very gate: the weight support Zs x Xs of that
+    pass, as the bytes of the two mask arrays, and its four response tables,
+    each |Zs| |Xs| x 2**n, at most 4 x 2 MB at n=6.  The next pass over the same support reuses them; a pass
+    over another support replaces them, so the slot holds one support at a
+    time.  It lives as long as the gate, and takes no part in equality or repr.
     """
 
     n_qubits: int
     u00: np.ndarray
     name: str | None = None
+    _pauli_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _check_qubit_count(self.n_qubits)
@@ -240,23 +249,36 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=Non
     return stack
 
 
-def _shorter_loop(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, support) -> tuple:
-    """(bra, ket, Zs, Xs, W) for a sum over the support Zs x Xs of Pauli weights W, its loop over Xs made short.
+def _loop_swaps(phase_count: int, amp_count: int, d: int) -> bool:
+    """Whether ``_shorter_loop`` moves a sum over Zs x Xs to loop over Zs: Zs is shorter, its gathers fill a block."""
+    return phase_count < amp_count and amp_count * d * d * np.dtype(np.complex128).itemsize >= _KRAUS_BLOCK_BYTES
+
+
+def _shorter_loop(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, phase_masks, amp_masks) -> tuple:
+    """(bra, ket, Zs, Xs) for a sum over a Pauli weight support Zs x Xs, its loop over Xs made short: the gate half.
 
     The sums gather 4**n rows for each x in Xs.  When Zs is the smaller and
     those gathers fill a Kraus block (``_KRAUS_BLOCK_BYTES``), the Walsh table
     S moves the loop to the other side: S Z**z X**x S = +-2**n Z**x X**z, so
     <bra| Z**z X**x |ket> = +-<S bra| Z**x X**z |S ket> / 2**n, and with S bra,
-    S ket, Zs and Xs traded and W transposed and divided by 4**n, every
-    weighted squared magnitude is unchanged.  Below a block, the two extra
-    products cost more than the gathers they save.
+    S ket, Zs and Xs traded and the weights taken by ``_loop_weights``, the
+    weight half, every weighted squared magnitude is unchanged.  Below a
+    block, the two extra products cost more than the gathers they save.
     """
-    phase_masks, amp_masks, weights = support
-    d = len(bra)
-    gathered_bytes = len(amp_masks) * d * d * np.dtype(np.complex128).itemsize
-    if len(phase_masks) >= len(amp_masks) or gathered_bytes < _KRAUS_BLOCK_BYTES:
-        return bra, ket, phase_masks, amp_masks, weights
-    return signs @ bra, signs @ ket, amp_masks, phase_masks, weights.T / (d * d)
+    if not _loop_swaps(len(phase_masks), len(amp_masks), len(bra)):
+        return bra, ket, phase_masks, amp_masks
+    return signs @ bra, signs @ ket, amp_masks, phase_masks
+
+
+def _loop_weights(support, d: int) -> np.ndarray:
+    """The weights W of a support (Zs, Xs, W), flat, in the order ``_shorter_loop`` sums them: the weight half.
+
+    Where that loop is moved to Zs, W is transposed and divided by 4**n.
+    """
+    phase_masks, amp_masks, grid = support
+    if _loop_swaps(len(phase_masks), len(amp_masks), d):
+        grid = grid.T / (d * d)
+    return grid.reshape(-1)
 
 
 @cache

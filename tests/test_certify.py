@@ -361,8 +361,8 @@ def test_certify_rejects_a_transfer_fidelity_off_the_chi_diagonal(monkeypatch):
     certify_module = importlib.import_module("gatecert.certify")
     exact = certify_module.classical_fidelity
 
-    def shifted(channel, gate, basis):
-        probabilities, value = exact(channel, gate, basis)
+    def shifted(*args):
+        probabilities, value = exact(*args)
         return probabilities, value + 1e-6
 
     monkeypatch.setattr(certify_module, "classical_fidelity", shifted)

@@ -12,10 +12,15 @@ from gatecert.certify import certify, classical_fidelity, ghz_chain_gate, ghz_su
 from gatecert.channel import Channel, PauliChannel, _transfer_entries, kraus_to_chi
 from gatecert.core import ConsistencyError, GateSpec
 from gatecert.noise import NoiseSpec, noisy_gate
-from gatecert.sampler import sampled_report
+from gatecert.sampler import ShotPlan, sample_transfer, sampled_report
 from _oracles import allocation_peak, haar_unitary, skew_the_complementary_frame, swap_in_the_x_1_bit_frame
 
 PAULI_KINDS = ("depolarizing_global", "dephasing_per_qubit", "bitflip_per_qubit")
+
+
+def _twin(gate):
+    """Another ``GateSpec`` of the same matrix with an empty table slot: certify against it builds every table."""
+    return dataclasses.replace(gate)
 
 
 def _targets(n_qubits):
@@ -157,27 +162,29 @@ def test_a_skewed_complementary_frame_fails_the_bit_row_identity_of_a_pauli_chan
     certify(channel, gate)
     skew_the_complementary_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="diagonal sums"):
-        certify(channel, gate)
+        certify(channel, _twin(gate))
 
 
 @pytest.mark.parametrize("kind", PAULI_KINDS)
 def test_a_shared_weight_bug_fails_the_phase_identity(monkeypatch, kind):
     # the phase column, the bit row and the fx sweep take the weights through
-    # core._shorter_loop and the fz sweep does not, so weights scaled there
-    # move every entry but fz, and only the fz identity sees it
+    # core._loop_weights, the weight half of the shorter loop, and the fz
+    # sweep does not, so weights scaled there move every entry but fz, and
+    # only the fz identity sees it; the weight half runs on every request, so
+    # a pass over kept tables sees it too
     gate = ghz_chain_gate(4)
     channel = noisy_gate(gate, NoiseSpec(kind, 0.2))
     certify(channel, gate)
-    shorter_loop = importlib.import_module("gatecert.core")._shorter_loop
+    loop_weights = importlib.import_module("gatecert.core")._loop_weights
 
     def scaled(*args):
-        *rest, weights = shorter_loop(*args)
-        return (*rest, weights * (1 - 1e-6))
+        return loop_weights(*args) * (1 - 1e-6)
 
     for module in ("gatecert.channel", "gatecert.certify"):
-        monkeypatch.setattr(importlib.import_module(module), "_shorter_loop", scaled)
-    with pytest.raises(ConsistencyError, match=r"diagonal sums: \|fz - sum\| = [1-9]"):
-        certify(channel, gate)
+        monkeypatch.setattr(importlib.import_module(module), "_loop_weights", scaled)
+    for target in (_twin(gate), gate):
+        with pytest.raises(ConsistencyError, match=r"diagonal sums: \|fz - sum\| = [1-9]"):
+            certify(channel, target)
 
 
 @pytest.mark.parametrize("kind", PAULI_KINDS)
@@ -189,26 +196,35 @@ def test_a_corrupted_bit_frame_fails_the_two_route_chi_00_check_of_a_pauli_chann
     swap_in_the_x_1_bit_frame(monkeypatch)
     with pytest.raises(ConsistencyError, match="routes to chi_00"):
         _transfer_entries(channel, gate)
+    with pytest.raises(ConsistencyError, match="routes to chi_00"):
+        certify(channel, _twin(gate))
     # the corruption went into a copy: the shared index serves the next call intact
     monkeypatch.undo()
-    assert certify(channel, gate) == expected
+    assert certify(channel, _twin(gate)) == expected
 
 
 # The per-n XOR gather indices and the sides that read them: the fz sweep its
 # own, the phase column and the fx sweep core._pauli_overlaps', the bit row
-# channel._bit_frame_index.  No identity that certify checks has one index on
-# both of its sides.
+# channel._bit_frame_index, and the bit row of a small Kraus stack at n >= 5
+# channel._xor_diagonal_index.  No identity that certify checks has one index
+# on both of its sides.
 GATHER_INDICES = {
     "fz sweep": ("gatecert.certify", "_bra_index"),
     "phase column and fx sweep": ("gatecert.core", "_xor_index"),
     "bit row": ("gatecert.channel", "_bit_frame_index"),
+    "stack bit row": ("gatecert.channel", "_xor_diagonal_index"),
 }
+
+# The per-n tables that gather nothing: the Walsh sign table and the input frames.
+OTHER_CACHED_TABLES = {("gatecert.core", "_walsh_signs"), ("gatecert.certify", "_input_frame")}
 
 
 def _gather_index(name, n_qubits):
     module, attribute = GATHER_INDICES[name]
     build = getattr(importlib.import_module(module), attribute)
-    return build(1 << n_qubits, 1) if name == "bit row" else build(n_qubits)
+    if name == "bit row":
+        return build(1 << n_qubits, 1)
+    return build(1 << n_qubits) if name == "stack bit row" else build(n_qubits)
 
 
 def _swap_columns(monkeypatch, names, n_qubits, a, b):
@@ -221,7 +237,9 @@ def _swap_columns(monkeypatch, names, n_qubits, a, b):
 
 
 def _column_swap_cases():
-    """(gate, channel, swapped columns) at n=2..4: chain and Haar gates, full and half-row weight supports."""
+    """(gate, channel, swapped columns): at n=2..4 chain and Haar gates under full and half-row
+    weight supports, and at n=5 a rank-7 ``random_cptp`` stack on a Haar gate, which takes the
+    small-stack bit row."""
     for n_qubits in (2, 3, 4):
         rng = np.random.default_rng(40 + n_qubits)
         d = 1 << n_qubits
@@ -233,6 +251,10 @@ def _column_swap_cases():
                 channel = PauliChannel(gate, (grid / grid.sum()).reshape(-1))
                 for columns in ((0, 1), (1, d - 1)):
                     yield gate, channel, columns
+    gate = GateSpec.from_matrix(haar_unitary(np.random.default_rng(45), 32))
+    channel = noisy_gate(gate, NoiseSpec("random_cptp", rank=7, seed=45))
+    for columns in ((0, 1), (1, 31)):
+        yield gate, channel, columns
 
 
 @pytest.mark.parametrize("n_qubits", [2, 3, 4])
@@ -240,7 +262,9 @@ def test_each_side_gathers_through_its_own_read_only_index(n_qubits):
     tables = [_gather_index(name, n_qubits) for name in GATHER_INDICES]
     rows = np.arange(1 << n_qubits)[:, np.newaxis]
     for i, table in enumerate(tables):
-        assert np.array_equal(table, rows ^ rows.T)
+        # the stack bit row reads the flat entry (r ^ x, r) of a 2**n x 2**n matrix
+        flat = (rows ^ rows.T) * len(rows) + rows if list(GATHER_INDICES)[i] == "stack bit row" else rows ^ rows.T
+        assert np.array_equal(table, flat)
         assert not table.flags.writeable
         assert table is _gather_index(list(GATHER_INDICES)[i], n_qubits)
         for other in tables[i + 1 :]:
@@ -251,16 +275,34 @@ def test_each_side_gathers_through_its_own_read_only_index(n_qubits):
 def test_two_swapped_columns_of_one_gather_index_fail_an_identity(monkeypatch, name):
     # where the weights tell the two columns apart the broken side disagrees
     # with its partner; elsewhere the swap moves no number.  A random full
-    # grid on a Haar gate tells every pair of columns apart
+    # grid on a Haar gate tells every pair of columns apart.  The stack bit
+    # row is the one index a small Kraus stack reads, and its entries enter
+    # certify through their sum and chi_00: a swap that spares column 0 moves
+    # no number.  The corrupted pass runs against a twin of the gate, so it
+    # builds its tables
     for gate, channel, (a, b) in _column_swap_cases():
         clean = certify(channel, gate)
         _swap_columns(monkeypatch, [name], gate.n_qubits, a, b)
         try:
-            assert certify(channel, gate) == clean, (gate.name, a, b)
-            assert gate.name == "ghz-chain" or channel.rank < len(channel.weights)
+            assert certify(channel, _twin(gate)) == clean, (gate.name, a, b)
+            if name == "stack bit row":
+                assert isinstance(channel, PauliChannel) or 0 not in (a, b)
+            elif isinstance(channel, PauliChannel):
+                assert gate.name == "ghz-chain" or channel.rank < len(channel.weights)
         except ConsistencyError:
             pass
         monkeypatch.undo()
+
+
+def test_every_cached_gather_index_is_listed():
+    # a new per-n index cannot skip the independence tests above
+    cached = set()
+    for module_name in ("gatecert.core", "gatecert.channel", "gatecert.certify"):
+        for attribute, value in vars(importlib.import_module(module_name)).items():
+            if hasattr(value, "cache_info") and value.__module__ == module_name:
+                cached.add((module_name, attribute))
+    assert cached - OTHER_CACHED_TABLES == set(GATHER_INDICES.values())
+    assert OTHER_CACHED_TABLES <= cached
 
 
 def test_one_index_shared_by_every_side_would_print_wrong_numbers(monkeypatch):
@@ -271,7 +313,7 @@ def test_one_index_shared_by_every_side_would_print_wrong_numbers(monkeypatch):
         clean = certify(channel, gate)
         _swap_columns(monkeypatch, list(GATHER_INDICES), gate.n_qubits, a, b)
         try:
-            wrong += certify(channel, gate) != clean
+            wrong += certify(channel, _twin(gate)) != clean
         except ConsistencyError:
             pass
         monkeypatch.undo()
@@ -297,3 +339,90 @@ def test_a_report_rejects_a_correlation_beyond_the_quantum_ceiling(value):
         assert cli.report_from_dict(doc) == report
         with pytest.raises(ValueError, match="ghz_expectation"):
             cli.report_from_dict({**doc, "ghz_expectation": value})
+
+
+def _refuse_every_index_and_frame(monkeypatch):
+    """Make every per-n gather index and the input frames raise when read, so only kept tables can serve."""
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    for module, attribute in (*GATHER_INDICES.values(), ("gatecert.certify", "_input_frame")):
+        monkeypatch.setattr(importlib.import_module(module), attribute, refuse)
+
+
+def _document(report):
+    return repr(dataclasses.asdict(report))
+
+
+@pytest.mark.parametrize("kind", PAULI_KINDS)
+@pytest.mark.parametrize("n_qubits", [3, 5])
+def test_a_second_pass_over_the_same_support_reads_the_kept_tables(monkeypatch, n_qubits, kind):
+    # p = 0.2 and 0.3 share their support; the report of the pass over kept
+    # tables is byte-identical to one that builds them
+    rng = np.random.default_rng(60 + n_qubits)
+    for gate in (ghz_chain_gate(n_qubits), GateSpec.from_matrix(haar_unitary(rng, 2**n_qubits))):
+        certify(noisy_gate(gate, NoiseSpec(kind, 0.2)), gate)
+        channel = noisy_gate(gate, NoiseSpec(kind, 0.3))
+        expected = [_document(certify(channel, _twin(gate))), _document(sampled_report(channel, _twin(gate), 97, 5))]
+        _refuse_every_index_and_frame(monkeypatch)
+        got = [_document(certify(channel, gate)), _document(sampled_report(channel, gate, 97, 5))]
+        monkeypatch.undo()
+        assert got == expected
+
+
+def test_every_other_pass_builds_its_tables_and_keeps_none(monkeypatch):
+    gate = ghz_chain_gate(3)
+    certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate)
+    kept = gate._pauli_tables
+    same_support = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3))
+    misses = {
+        "a channel gate that is another object": (certify, noisy_gate(_twin(gate), NoiseSpec("depolarizing_global", 0.3)), gate),
+        "a Kraus stack": (certify, Channel(3, same_support.kraus_ops), gate),
+        "classical_fidelity z": (lambda *args: classical_fidelity(*args, "z"), same_support, gate),
+        "classical_fidelity x": (lambda *args: classical_fidelity(*args, "x"), same_support, gate),
+        "sample_transfer": (lambda *args: sample_transfer(*args, ShotPlan(10, 1, "z")), same_support, gate),
+        "_transfer_entries": (_transfer_entries, same_support, gate),
+        "another support": (certify, noisy_gate(gate, NoiseSpec("depolarizing_global", 0.0)), gate),
+    }
+    _refuse_every_index_and_frame(monkeypatch)
+    for name, (call, channel, target) in misses.items():
+        with pytest.raises(AssertionError, match="a table was built"):
+            call(channel, target)
+        assert gate._pauli_tables is kept, name
+    monkeypatch.undo()
+    # run for real, only the checked pass over another support replaces them
+    for name, (call, channel, target) in misses.items():
+        call(channel, target)
+        assert (gate._pauli_tables is kept) == (name != "another support"), name
+
+
+def test_tables_that_fail_a_check_are_not_kept(monkeypatch):
+    gate = ghz_chain_gate(3)
+    channel = noisy_gate(gate, NoiseSpec("bitflip_per_qubit", 0.2))
+    skew_the_complementary_frame(monkeypatch)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(channel, gate)
+    assert gate._pauli_tables is None
+    monkeypatch.undo()
+    certify(channel, gate)
+    kept = gate._pauli_tables
+    # a failed pass over another support leaves the kept tables in place
+    skew_the_complementary_frame(monkeypatch)
+    with pytest.raises(ConsistencyError, match="diagonal sums"):
+        certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate)
+    assert gate._pauli_tables is kept
+
+
+def test_a_gate_that_alternates_between_two_supports_holds_one_slot():
+    gate = ghz_chain_gate(4)
+    for p in (0.2, 0.0, 0.3, 0.0, 0.2):
+        channel = noisy_gate(gate, NoiseSpec("depolarizing_global", p))
+        assert certify(channel, gate) == certify(channel, _twin(gate))
+        (phase_bytes, amp_bytes), tables = gate._pauli_tables
+        phase_masks, amp_masks, _ = channel.support
+        assert phase_bytes == phase_masks.tobytes() and amp_bytes == amp_masks.tobytes()
+        assert sorted(tables) == ["bit", "phase", "x", "z"]
+        for table in tables.values():
+            assert table.shape == (len(phase_masks) * len(amp_masks), 16) and not table.flags.writeable
+    assert [name for name, value in vars(gate).items() if isinstance(value, tuple)] == ["_pauli_tables"]
