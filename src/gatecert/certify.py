@@ -290,7 +290,7 @@ def _bra_overlaps(channel: PauliChannel, u: np.ndarray, swap: bool) -> np.ndarra
     rows = signs if len(phase_masks) == d else signs.take(phase_masks, axis=0)
     overlaps = np.abs(rows @ products.reshape(d, -1))
     overlaps **= 2
-    return _frozen(overlaps.reshape(-1, d))
+    return _frozen(overlaps).reshape(-1, d)
 
 
 def _ket_overlaps(channel: PauliChannel, u: np.ndarray, basis: str) -> np.ndarray:
@@ -332,12 +332,12 @@ def _pauli_probabilities(channel: PauliChannel, u: np.ndarray, basis: str, table
     complementary sweep (``_ket_overlaps``) takes those three: an XOR row
     gather of the ket images and the sign rows of the support.
     """
-    phase_masks, amp_masks, grid = channel.support
     d = len(u)
     if basis != "z":
         if basis not in tables:
             tables[basis] = _ket_overlaps(channel, u, basis)
         return _loop_weights(channel.support, d) @ tables[basis]
+    phase_masks, amp_masks, grid = channel.support
     swap = len(phase_masks) < len(amp_masks) and len(amp_masks) * d * d * 16 >= _KRAUS_BLOCK_BYTES
     if "z" not in tables:
         tables["z"] = _bra_overlaps(channel, u, swap)
@@ -563,7 +563,7 @@ def _checked_transfer(channel: Channel | PauliChannel, gate: GateSpec) -> tuple[
         # the bytes of the two int64 mask arrays are equal exactly when the supports are
         key = phase_masks.tobytes(), amp_masks.tobytes()
     kept = gate._pauli_tables
-    hit = key is not None and kept is not None and kept[0] == key
+    hit = kept is not None and kept[0] == key
     tables = kept[1] if hit else {}
     phase, bit = _transfer_entries(channel, gate, tables)
     sweeps = {basis: classical_fidelity(channel, gate, basis, tables) for basis in BASES}

@@ -251,7 +251,8 @@ def _pauli_products(phase_masks, amp_masks, n_qubits: int, scale=None, right=Non
 
 def _loop_swaps(phase_count: int, amp_count: int, d: int) -> bool:
     """Whether ``_shorter_loop`` moves a sum over Zs x Xs to loop over Zs: Zs is shorter, its gathers fill a block."""
-    return phase_count < amp_count and amp_count * d * d * np.dtype(np.complex128).itemsize >= _KRAUS_BLOCK_BYTES
+    # 16 bytes per complex128 entry
+    return phase_count < amp_count and amp_count * d * d * 16 >= _KRAUS_BLOCK_BYTES
 
 
 def _shorter_loop(bra: np.ndarray, ket: np.ndarray, signs: np.ndarray, phase_masks, amp_masks) -> tuple:

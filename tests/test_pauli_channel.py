@@ -376,8 +376,9 @@ def test_every_other_pass_builds_its_tables_and_keeps_none(monkeypatch):
     certify(noisy_gate(gate, NoiseSpec("depolarizing_global", 0.2)), gate)
     kept = gate._pauli_tables
     same_support = noisy_gate(gate, NoiseSpec("depolarizing_global", 0.3))
+    of_a_twin = noisy_gate(_twin(gate), NoiseSpec("depolarizing_global", 0.3))
     misses = {
-        "a channel gate that is another object": (certify, noisy_gate(_twin(gate), NoiseSpec("depolarizing_global", 0.3)), gate),
+        "a channel gate that is another object": (certify, of_a_twin, gate),
         "a Kraus stack": (certify, Channel(3, same_support.kraus_ops), gate),
         "classical_fidelity z": (lambda *args: classical_fidelity(*args, "z"), same_support, gate),
         "classical_fidelity x": (lambda *args: classical_fidelity(*args, "x"), same_support, gate),
