@@ -113,9 +113,10 @@ class GateSpec:
     ``certify._checked_transfer`` fills after a checked pass on a
     ``PauliChannel`` of this very gate: the weight support Zs x Xs of that
     pass, as the bytes of the two mask arrays, and its four response tables,
-    each |Zs| |Xs| x 2**n, at most 4 x 2 MB at n=6.  The next pass over the same support reuses them; a pass
-    over another support replaces them, so the slot holds one support at a
-    time.  It lives as long as the gate, and takes no part in equality or repr.
+    each |Zs| |Xs| x 2**n, at most 4 x 2 MB at n=6.  The next pass over the
+    same support reuses them; a pass over another support replaces them, so
+    the slot holds one support at a time.  It lives as long as the gate, and
+    takes no part in equality or repr.
     """
 
     n_qubits: int
